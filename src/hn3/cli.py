@@ -33,6 +33,7 @@ from .fileio import dump_structure, load_structure, validation_reports
 from .linalg import signature
 from .nijenhuis import (
     associated_nijenhuis,
+    associated_nijenhuis_vanishes,
     fundamental_tensor,
     metric_lie_derivative,
     nijenhuis_tensor,
@@ -157,51 +158,56 @@ def _cmd_compute(h: HN3Manifold, args) -> tuple[int, list[Report]]:
 
 def _cmd_classify(h: HN3Manifold, args) -> tuple[int, list[Report]]:
     report = Report("skew-torsion admissibility")
-    funds = {a: fundamental_tensor(h, a) for a in (1, 2, 3)}
-    report.findings["structure1_reflection_identity"] = class_condition_alpha1(
-        h, funds[1]
-    )
+    report.findings["structure1_reflection_identity"] = class_condition_alpha1(h)
     for a in (2, 3):
         report.findings[f"structure{a}_cyclic_sum_vanishes"] = cyclic_sum(
-            funds[a]
+            fundamental_tensor(h, a)
         ).is_zero()
         report.findings[f"structure{a}_reeb_killing"] = metric_lie_derivative(
             h, a
         ).is_zero()
-        report.findings[f"structure{a}_class_condition"] = class_condition_alpha23(
-            h, a, funds[a]
-        )
+        report.findings[f"structure{a}_class_condition"] = class_condition_alpha23(h, a)
     for a in (1, 2, 3):
         report.findings[f"structure{a}_associated_nijenhuis_vanishes"] = (
-            associated_nijenhuis(h, a)[0].is_zero()
+            associated_nijenhuis_vanishes(h, a)
         )
     return 0, [report]
+
+
+def _failed_precondition(report: Report, exc: ExistenceError) -> Report:
+    """Record a failed existence precondition in the report and on stderr."""
+    print(f"check failed: {exc}", file=sys.stderr)
+    report.warnings.append(str(exc))
+    return report
 
 
 def _cmd_connection(h: HN3Manifold, args) -> tuple[int, list[Report]]:
     reports: list[Report] = []
     code = 0
-    built = {}
     for a in (1, 2, 3):
-        t = structure_torsion(h, a, force=args.force)
+        rep = Report(f"naturality for structure {a}")
         try:
+            t = structure_torsion(h, a, force=args.force)
             nc = natural_connection(h, a, t)
+        except ExistenceError as exc:
+            _failed_precondition(rep, exc)
+            code = 1
         except SymmetryError:
-            rep = Report(f"naturality for structure {a}")
             rep.warnings.append(
                 "torsion is not a 3-form here; no natural connection was built"
             )
             rep.attach_tensor(f"T{a}", t)
-            reports.append(rep)
-            continue
-        built[a] = nc
-        rep = naturality_report(nc.connection, h, a)
-        rep.attach_tensor(f"T{a}", t)
+        else:
+            rep = naturality_report(nc.connection, h, a)
+            rep.attach_tensor(f"T{a}", t)
+            if not rep.passed:
+                code = 1
         reports.append(rep)
-        if not rep.passed:
-            code = 1
-    coin = coincidence_check(h, force=args.force)
     rep = Report("coincidence of the three natural connections")
+    try:
+        coin = coincidence_check(h, force=args.force)
+    except ExistenceError as exc:
+        return 1, reports + [_failed_precondition(rep, exc)]
     for (a, b), equal in coin.torsions_equal.items():
         rep.findings[f"D{a}=D{b}"] = equal
     rep.findings["routes_agree"] = coin.routes_agree

@@ -26,14 +26,14 @@ from .errors import ExistenceError, SymmetryError
 from .liealg import Connection, connection_torsion, covariant_derivative, \
     covariant_derivative_vector
 from .nijenhuis import (
-    associated_nijenhuis,
+    associated_nijenhuis_vanishes,
     exterior_d_eta,
     fundamental_tensor,
     metric_lie_derivative,
     nijenhuis_tensor,
 )
 from .reporting import Report
-from .structures import HN3Manifold
+from .structures import HN3Manifold, derived
 from .tensor import (
     Tensor,
     contract_arg_with_vector,
@@ -54,49 +54,46 @@ HALF = Fraction(1, 2)
 
 
 def class_condition_alpha1(h: HN3Manifold, fund: Tensor | None = None) -> bool:
-    """Whether the first structure admits a natural connection with 3-form torsion."""
-    f = fundamental_tensor(h, 1) if fund is None else fund
+    """Whether the first structure admits a natural connection with 3-form torsion.
+
+    ``fund`` defaults to the memoized F_1, whose verdict is kept per manifold.
+    """
+    if fund is None:
+        return in_skew_torsion_class(h, 1)
     phi = h.phi(1)
-    a = precompose(f, phi, 0)
-    b = precompose(f, phi, 2)
-    expr = a + permute_args(a, (1, 0, 2)) + b + permute_args(b, (1, 0, 2))
-    return expr.is_zero()
+    a = precompose(fund, phi, 0)
+    b = precompose(fund, phi, 2)
+    return (a + permute_args(a, (1, 0, 2)) + b + permute_args(b, (1, 0, 2))).is_zero()
 
 
 def class_condition_alpha23(h: HN3Manifold, alpha: int, fund: Tensor | None = None) -> bool:
-    """Same admissibility for the Norden-type structures: cyclic-free F, Killing Reeb."""
+    """Same admissibility for the Norden-type structures: cyclic-free F, Killing Reeb.
+
+    ``fund`` defaults to the memoized F_alpha, whose verdict is kept per manifold.
+    """
     if alpha not in (2, 3):
         raise ValueError("this condition applies to the second and third structures")
-    f = fundamental_tensor(h, alpha) if fund is None else fund
-    return cyclic_sum(f).is_zero() and metric_lie_derivative(h, alpha).is_zero()
+    if fund is None:
+        return in_skew_torsion_class(h, alpha)
+    return cyclic_sum(fund).is_zero() and metric_lie_derivative(h, alpha).is_zero()
 
 
-def in_skew_torsion_class(h: HN3Manifold, alpha: int, fund: Tensor | None = None) -> bool:
+@derived
+def in_skew_torsion_class(h: HN3Manifold, alpha: int) -> bool:
+    """The class condition of one structure, decided once per manifold."""
     if alpha == 1:
-        return class_condition_alpha1(h, fund)
-    return class_condition_alpha23(h, alpha, fund)
+        return class_condition_alpha1(h, fundamental_tensor(h, 1))
+    return class_condition_alpha23(h, alpha, fundamental_tensor(h, alpha))
 
 
-def torsion_alpha1(
-    h: HN3Manifold, fund: Tensor | None = None, force: bool = False
-) -> Tensor:
+def torsion_alpha1(h: HN3Manifold, force: bool = False) -> Tensor:
     """Torsion 3-form of the natural connection of the first structure.
 
     ``T(x,y,z) = F(x,y,phi z) - F(y,x,phi z) - F(phi z,x,y)
     + 2 F(x,phi y,xi) eta(z)``.  Raises unless the class condition holds;
     ``force`` computes the raw expression anyway.
     """
-    f = fundamental_tensor(h, 1) if fund is None else fund
-    if not force and not class_condition_alpha1(h, f):
-        raise ExistenceError(
-            "the first structure does not admit a natural connection with "
-            "totally skew-symmetric torsion (reflection identity fails)"
-        )
-    phi, xi, eta = h.phi(1), h.xi(1), h.eta(1)
-    b = precompose(f, phi, 2)
-    c = permute_args(precompose(f, phi, 0), (2, 0, 1))  # F(phi z, x, y)
-    w = contract_arg_with_vector(precompose(f, phi, 1), xi, 2)
-    return b - permute_args(b, (1, 0, 2)) - c + times_covector(w, eta) * 2
+    return structure_torsion(h, 1, force)
 
 
 def torsion_alpha1_via_forms(h: HN3Manifold) -> Tensor:
@@ -123,33 +120,46 @@ def torsion_alpha1_via_forms(h: HN3Manifold) -> Tensor:
     )
 
 
-def torsion_alpha23(
-    h: HN3Manifold, alpha: int, fund: Tensor | None = None, force: bool = False
-) -> Tensor:
+def torsion_alpha23(h: HN3Manifold, alpha: int, force: bool = False) -> Tensor:
     """Torsion 3-form for the Norden-type structures.
 
     ``T = -1/2 cyclic_sum( F(x,y,phi z) - 3 eta(x) F(y,phi z,xi) )``.
     """
     if alpha not in (2, 3):
         raise ValueError("this torsion applies to the second and third structures")
-    f = fundamental_tensor(h, alpha) if fund is None else fund
-    if not force and not class_condition_alpha23(h, alpha, f):
+    return structure_torsion(h, alpha, force)
+
+
+def structure_torsion(h: HN3Manifold, alpha: int, force: bool = False) -> Tensor:
+    """Torsion expression of one structure, computed once per manifold.
+
+    Raises unless the class condition holds; ``force`` returns the raw
+    expression anyway.
+    """
+    if not force and not in_skew_torsion_class(h, alpha):
+        which = "the first structure" if alpha == 1 else f"structure {alpha}"
+        why = "reflection identity" if alpha == 1 else "cyclic or Killing condition"
         raise ExistenceError(
-            f"structure {alpha} does not admit a natural connection with totally "
-            "skew-symmetric torsion (cyclic or Killing condition fails)"
+            f"{which} does not admit a natural connection with totally "
+            f"skew-symmetric torsion ({why} fails)"
         )
+    return _torsion(h, alpha)[0]
+
+
+@derived
+def _torsion(h: HN3Manifold, alpha: int) -> tuple[Tensor, bool]:
+    """The raw torsion expression and whether it is a 3-form."""
+    f = fundamental_tensor(h, alpha)
     phi, xi, eta = h.phi(alpha), h.xi(alpha), h.eta(alpha)
-    u = precompose(f, phi, 2)
-    w = contract_arg_with_vector(precompose(f, phi, 1), xi, 2)  # F(y, phi z, xi)
-    return cyclic_sum(u - covector_times(eta, w) * 3) * (-HALF)
-
-
-def structure_torsion(
-    h: HN3Manifold, alpha: int, fund: Tensor | None = None, force: bool = False
-) -> Tensor:
+    w = contract_arg_with_vector(precompose(f, phi, 1), xi, 2)  # F(x, phi y, xi)
     if alpha == 1:
-        return torsion_alpha1(h, fund, force)
-    return torsion_alpha23(h, alpha, fund, force)
+        b = precompose(f, phi, 2)
+        c = permute_args(precompose(f, phi, 0), (2, 0, 1))  # F(phi z, x, y)
+        t = b - permute_args(b, (1, 0, 2)) - c + times_covector(w, eta) * 2
+    else:
+        u = precompose(f, phi, 2)
+        t = cyclic_sum(u - covector_times(eta, w) * 3) * (-HALF)
+    return t, is_three_form(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,9 +177,27 @@ def natural_connection(
     torsion: Tensor | None = None,
     force: bool = False,
 ) -> NaturalConnection:
-    """Build ``D = LC + torsion/2`` and re-derive the torsion as a consistency check."""
+    """Build ``D = LC + torsion/2`` and re-derive the torsion as a consistency check.
+
+    Without ``torsion``, or with the structure's own torsion as returned by
+    ``structure_torsion``, the connection is built once per manifold; any
+    other torsion gets a connection of its own.
+    """
     t = structure_torsion(h, alpha, force=force) if torsion is None else torsion
-    if not is_three_form(t):
+    if t is _torsion(h, alpha)[0]:
+        return _natural_connection(h, alpha)
+    return _connection_with_torsion(h, alpha, t, is_three_form(t))
+
+
+@derived
+def _natural_connection(h: HN3Manifold, alpha: int) -> NaturalConnection:
+    return _connection_with_torsion(h, alpha, *_torsion(h, alpha))
+
+
+def _connection_with_torsion(
+    h: HN3Manifold, alpha: int, t: Tensor, is_form: bool
+) -> NaturalConnection:
+    if not is_form:
         raise SymmetryError("torsion must be totally skew-symmetric")
     gamma = h.mla.levi_civita.gamma + raise_last(t, h.mla.metric_inverse) * HALF
     conn = Connection(gamma)
@@ -235,28 +263,27 @@ def coincidence_check(h: HN3Manifold, force: bool = False) -> Coincidence:
     """Compare the three natural connections by two independent routes.
 
     Route one compares the closed-form torsion expressions componentwise;
-    route two builds each connection and compares coefficient tensors.
+    route two compares the coefficient tensors of the built connections.
     The two verdicts agree identically since the metric is fixed; both are
-    computed anyway and exposed.
+    exposed, and both reuse the torsions and connections of the manifold.
     """
-    funds = {a: fundamental_tensor(h, a) for a in (1, 2, 3)}
     if not force:
-        missing = [a for a in (1, 2, 3) if not in_skew_torsion_class(h, a, funds[a])]
+        missing = [a for a in (1, 2, 3) if not in_skew_torsion_class(h, a)]
         if missing:
             raise ExistenceError(
                 f"structures {missing} fail their class condition; "
                 "per-structure natural connections do not all exist"
             )
-        hats = [a for a in (1, 2, 3) if not associated_nijenhuis(h, a)[0].is_zero()]
+        hats = [a for a in (1, 2, 3) if not associated_nijenhuis_vanishes(h, a)]
         if hats:
             raise ExistenceError(
                 f"associated Nijenhuis tensor of structures {hats} does not vanish"
             )
-    torsions = {a: structure_torsion(h, a, funds[a], force=True) for a in (1, 2, 3)}
+    torsions = {a: _torsion(h, a) for a in (1, 2, 3)}
     pairs = ((1, 2), (1, 3), (2, 3))
-    torsions_equal = {(a, b): torsions[a] == torsions[b] for a, b in pairs}
-    if all(is_three_form(t) for t in torsions.values()):
-        conns = {a: natural_connection(h, a, torsions[a]) for a in (1, 2, 3)}
+    torsions_equal = {(a, b): torsions[a][0] == torsions[b][0] for a, b in pairs}
+    if all(is_form for _, is_form in torsions.values()):
+        conns = {a: _natural_connection(h, a) for a in (1, 2, 3)}
         connections_equal = {
             (a, b): conns[a].connection.gamma == conns[b].connection.gamma
             for a, b in pairs

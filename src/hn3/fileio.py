@@ -124,13 +124,13 @@ def parse_structure(data: dict) -> HN3Manifold:
         for key in ("alpha", "epsilon", "phi", "xi", "eta"):
             if key not in s:
                 raise StructureFileError(f"missing key {key!r}", path)
-        alpha = s["alpha"]
-        if alpha not in (1, 2, 3):
+        alpha, epsilon = s["alpha"], s["epsilon"]
+        # exact type checks: True and 1.0 both compare equal to 1
+        if type(alpha) is not int or alpha not in (1, 2, 3):
             raise StructureFileError("alpha must be 1, 2 or 3", f"{path}/alpha")
         if alpha in slots:
             raise StructureFileError(f"duplicate structure {alpha}", f"{path}/alpha")
-        epsilon = s["epsilon"]
-        if epsilon not in (1, -1):
+        if type(epsilon) is not int or epsilon not in (1, -1):
             raise StructureFileError("epsilon must be 1 or -1", f"{path}/epsilon")
         phi = _matrix_at(s["phi"], dim, f"{path}/phi")
         xi = Vector(_vector_at(s["xi"], dim, f"{path}/xi"))

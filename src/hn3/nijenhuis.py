@@ -9,7 +9,8 @@ of route are algebraically equal, which the test suite exploits as a
 cross-check of every contraction in sight.
 
 Slot conventions are those of ``hn3.tensor``; the structure index
-``alpha`` is 1-based everywhere.
+``alpha`` is 1-based everywhere.  Functions marked ``@derived`` run once
+per manifold and structure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .liealg import (
 )
 from .rational import ZERO
 from .reporting import Report
-from .structures import HN3Manifold, ProductExtension
+from .structures import HN3Manifold, ProductExtension, derived
 from .tensor import (
     Tensor,
     contract_arg_with_vector,
@@ -45,6 +46,7 @@ MINUS_HALF = Fraction(-1, 2)
 QUARTER = Fraction(1, 4)
 
 
+@derived
 def fundamental_tensor(h: HN3Manifold, alpha: int) -> Tensor:
     """(0,3) tensor ``F(x, y, z) = g((D_x phi) y, z)`` for the Levi-Civita D."""
     conn = h.mla.levi_civita
@@ -65,27 +67,19 @@ def check_fundamental_properties(fund: Tensor, h: HN3Manifold, alpha: int) -> Re
         raise ShapeError(f"expected a (0,3) tensor of dimension {h.dim}")
     phi, xi, eta, eps = h.phi(alpha), h.xi(alpha), h.eta(alpha), h.eps(alpha)
     report = Report(check=f"fundamental tensor properties, structure {alpha}")
-    n = h.dim
 
     flip = permute_args(fund, (0, 2, 1)) * (-eps)
     u = times_covector(contract_arg_with_vector(fund, xi, 1), eta)
     refl = precompose(precompose(fund, phi, 1), phi, 2) * (-eps)
     refl = refl + swap_args(u, 1, 2)
     refl = refl + times_covector(contract_arg_with_vector(fund, xi, 2), eta)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                idx = (i + 1, j + 1, k + 1)
-                report.require(
-                    "F(x,y,z) = -eps F(x,z,y)", idx, fund[i, j, k], flip[i, j, k]
-                )
-                report.require(
-                    "F(x,y,z) = -eps F(x,phi y,phi z)"
-                    " + F(x,xi,z) eta(y) + F(x,y,xi) eta(z)",
-                    idx,
-                    fund[i, j, k],
-                    refl[i, j, k],
-                )
+    report.require_equal(
+        (
+            "F(x,y,z) = -eps F(x,z,y)",
+            "F(x,y,z) = -eps F(x,phi y,phi z) + F(x,xi,z) eta(y) + F(x,y,xi) eta(z)",
+        ),
+        (), fund, (flip, refl),
+    )
 
     if alpha == 1:
         lhs = precompose(fund, phi, 2)
@@ -93,19 +87,14 @@ def check_fundamental_properties(fund: Tensor, h: HN3Manifold, alpha: int) -> Re
             precompose(contract_arg_with_vector(fund, xi, 1), phi, 1), eta
         )
         rhs = precompose(fund, phi, 1) + w + swap_args(w, 1, 2)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    report.require(
-                        "F(x,y,phi z) = F(x,phi y,z)"
-                        " + F(x,xi,phi y) eta(z) + F(x,xi,phi z) eta(y)",
-                        (i + 1, j + 1, k + 1),
-                        lhs[i, j, k],
-                        rhs[i, j, k],
-                    )
+        report.require_equal(
+            "F(x,y,phi z) = F(x,phi y,z) + F(x,xi,phi y) eta(z) + F(x,xi,phi z) eta(y)",
+            (), lhs, rhs,
+        )
     return report
 
 
+@derived
 def metric_lie_derivative(h: HN3Manifold, alpha: int) -> Tensor:
     """Lie derivative of the metric along the structure's Reeb vector."""
     return lie_derivative_metric(h.mla, h.xi(alpha))
@@ -116,6 +105,7 @@ def reeb_lie_derivative_eta(h: HN3Manifold, alpha: int) -> Tensor:
     return lie_derivative_covector(h.mla.algebra, h.xi(alpha), h.eta(alpha))
 
 
+@derived
 def exterior_d_eta(h: HN3Manifold, alpha: int) -> Tensor:
     """``d eta (x, y) = (D_x eta)(y) - (D_y eta)(x)``, no 1/2 in front."""
     de = covariant_derivative(h.mla.levi_civita, h.eta(alpha))
@@ -151,6 +141,12 @@ def associated_nijenhuis(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
         metric_lie_derivative(h, alpha), h.xi(alpha)
     ) * h.eps(alpha)
     return vec, lower(vec, h.metric)
+
+
+@derived
+def associated_nijenhuis_vanishes(h: HN3Manifold, alpha: int) -> bool:
+    """Whether the associated Nijenhuis tensor is zero."""
+    return associated_nijenhuis(h, alpha)[0].is_zero()
 
 
 def hat_components(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:

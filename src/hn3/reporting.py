@@ -9,10 +9,13 @@ equal report.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .linalg import Matrix
 from .rational import as_scalar, format_scalar
+from .tensor import Tensor
 
 TensorEntries = tuple[tuple[tuple[int, ...], Fraction], ...]
 
@@ -27,6 +30,15 @@ class Violation:
     def render(self) -> str:
         where = ",".join(map(str, self.indices))
         return f"{self.identity} at ({where}): lhs = {self.lhs}, rhs = {self.rhs}"
+
+
+def _shape_and_entries(array) -> tuple[tuple[int, ...], tuple]:
+    if isinstance(array, Tensor):
+        return (array.dim,) * array.nslots, array.comps
+    if isinstance(array, Matrix):
+        return (array.rows, array.cols), tuple(itertools.chain(*array.entries))
+    entries = tuple(array)
+    return (len(entries),), entries
 
 
 @dataclass
@@ -51,6 +63,22 @@ class Report:
         rhs = as_scalar(rhs)
         if lhs != rhs:
             self.violations.append(Violation(identity, tuple(indices), lhs, rhs))
+
+    def require_equal(self, identity, index_prefix: tuple, lhs, rhs) -> None:
+        """``require`` at every entry of two equally shaped arrays, row-major.
+
+        Arrays are tensors, matrices, vectors or scalar sequences; indices are
+        ``index_prefix`` plus the entry's 1-based position.  Tuples of
+        identities and right sides check each identity in turn at each entry.
+        """
+        if isinstance(identity, str):
+            identity, rhs = (identity,), (rhs,)
+        shape, left = _shape_and_entries(lhs)
+        rights = [_shape_and_entries(r)[1] for r in rhs]
+        positions = itertools.product(*(range(1, n + 1) for n in shape))
+        for idx, value, *others in zip(positions, left, *rights, strict=True):
+            for name, other in zip(identity, others):
+                self.require(name, index_prefix + idx, value, other)
 
     def attach_tensor(self, name: str, t) -> None:
         self.tensors[name] = tuple(t.entries_1based())

@@ -11,8 +11,9 @@ almost hypercomplex frame with the matching Hermitian-Norden metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, wraps
 
 from .errors import ShapeError, ValidationError
 from .linalg import Matrix, Vector, signature
@@ -61,10 +62,13 @@ class HN3Manifold:
     The constructor enforces shapes and the fixed character pattern
     ``(+1, -1, -1)``; the geometric identities themselves are checked by
     the ``validate_*`` functions, which report every violated component.
+    The manifold is immutable, so each object derived from it is computed
+    once and kept in ``_memo`` for the manifold's lifetime (see ``derived``).
     """
 
     mla: MetricLieAlgebra
     structures: tuple[AlmostContactStructure, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.structures) != 3:
@@ -98,6 +102,24 @@ class HN3Manifold:
         return self.structure(alpha).epsilon
 
 
+def derived(build: Callable) -> Callable:
+    """Make ``build(h, alpha)`` run once per manifold and structure.
+
+    The result lives in the manifold's memo; a call that raises stores nothing.
+    """
+
+    @wraps(build)
+    def memoized(h: HN3Manifold, alpha: int):
+        if alpha not in (1, 2, 3):
+            raise ValueError("structures are numbered 1, 2, 3")
+        key = (build, alpha)
+        if key not in h._memo:
+            h._memo[key] = build(h, alpha)
+        return h._memo[key]
+
+    return memoized
+
+
 def validate_ac3(h: HN3Manifold) -> Report:
     """Composition laws of the structure triple, all pairs, all components.
 
@@ -117,32 +139,23 @@ def validate_ac3(h: HN3Manifold) -> Report:
         for b in (1, 2, 3):
             c = ({1, 2, 3} - {a, b}).pop() if a != b else 0
             e = epsilon_symbol(a, b, c) if a != b else 0
-            lhs = h.phi(a) @ h.phi(b)
-            rhs = Matrix.outer(h.xi(a), [h.eta(b)[j] for j in range(n)])
+            rhs = Matrix.outer(h.xi(a), h.eta(b).comps)
             if a == b:
                 rhs = rhs - Matrix.identity(n)
             else:
                 rhs = rhs + h.phi(c) * e
-            for i in range(n):
-                for j in range(n):
-                    report.require(
-                        f"phi{a}.phi{b} composition", (a, b, i + 1, j + 1),
-                        lhs[i, j], rhs[i, j],
-                    )
-            vec_lhs = h.phi(a).apply(h.xi(b))
-            vec_rhs = h.xi(c) * e if a != b else Vector.zero(n)
-            for i in range(n):
-                report.require(
-                    f"phi{a}.xi{b}", (a, b, i + 1), vec_lhs[i], vec_rhs[i]
-                )
-            for j in range(n):
-                form_lhs = sum(
-                    (h.eta(a)[m] * h.phi(b)[m, j] for m in range(n)), ZERO
-                )
-                form_rhs = h.eta(c)[j] * e if a != b else ZERO
-                report.require(
-                    f"eta{a}.phi{b}", (a, b, j + 1), form_lhs, form_rhs
-                )
+            report.require_equal(
+                f"phi{a}.phi{b} composition", (a, b), h.phi(a) @ h.phi(b), rhs
+            )
+            report.require_equal(
+                f"phi{a}.xi{b}", (a, b), h.phi(a).apply(h.xi(b)),
+                h.xi(c) * e if a != b else Vector.zero(n),
+            )
+            eta_phi = h.phi(b).transpose().apply(Vector(h.eta(a).comps))
+            report.require_equal(
+                f"eta{a}.phi{b}", (a, b), eta_phi,
+                h.eta(c) * e if a != b else Vector.zero(n),
+            )
             pairing = sum((h.eta(a)[m] * h.xi(b)[m] for m in range(n)), ZERO)
             report.require(
                 f"eta{a}(xi{b})", (a, b), pairing, ONE if a == b else ZERO
@@ -162,16 +175,13 @@ def validate_hn_metric(h: HN3Manifold) -> Report:
     n = h.dim
     for a in (1, 2, 3):
         phi, xi, eta, eps = h.phi(a), h.xi(a), h.eta(a), h.eps(a)
-        gphi = phi.transpose() @ g @ phi
-        for i in range(n):
-            for j in range(n):
-                report.require(
-                    f"g(phi{a}.,phi{a}.) compatibility", (a, i + 1, j + 1),
-                    gphi[i, j], eps * g[i, j] + eta[i] * eta[j],
-                )
+        eta_eta = Matrix.outer(Vector(eta.comps), eta.comps)
+        report.require_equal(
+            f"g(phi{a}.,phi{a}.) compatibility", (a,),
+            phi.transpose() @ g @ phi, g * eps + eta_eta,
+        )
         gxi = g.apply(xi)
-        for i in range(n):
-            report.require(f"eta{a} duality", (a, i + 1), eta[i], -eps * gxi[i])
+        report.require_equal(f"eta{a} duality", (a,), eta, gxi * -eps)
         norm = sum((xi[i] * gxi[i] for i in range(n)), ZERO)
         report.require(f"xi{a} square norm", (a,), norm, -eps)
     sig = signature(g) if g.is_symmetric() else None
@@ -246,37 +256,24 @@ def validate_hypercomplex_hn(p: ProductExtension) -> Report:
     (Hermitian for a = 1, Norden for a = 2, 3).
     """
     report = Report("hypercomplex Hermitian-Norden extension")
-    n = p.dim
     g = p.mla.metric
-    minus_id = -Matrix.identity(n)
+    minus_id = -Matrix.identity(p.dim)
     for a in (1, 2, 3):
         j = p.j_ops[a - 1]
-        sq = j @ j
-        for r in range(n):
-            for c in range(n):
-                report.require(f"J{a} squares to -I", (a, r + 1, c + 1), sq[r, c], minus_id[r, c])
-        comp = j.transpose() @ g @ j
-        eps = EPSILONS[a - 1]
-        for r in range(n):
-            for c in range(n):
-                report.require(
-                    f"G(J{a}.,J{a}.) compatibility", (a, r + 1, c + 1),
-                    comp[r, c], eps * g[r, c],
-                )
+        report.require_equal(f"J{a} squares to -I", (a,), j @ j, minus_id)
+        report.require_equal(
+            f"G(J{a}.,J{a}.) compatibility", (a,),
+            j.transpose() @ g @ j, g * EPSILONS[a - 1],
+        )
     for a in (1, 2, 3):
         for b in (1, 2, 3):
             if a == b:
                 continue
             c = ({1, 2, 3} - {a, b}).pop()
             e = epsilon_symbol(a, b, c)
-            prod = p.j_ops[a - 1] @ p.j_ops[b - 1]
-            target = p.j_ops[c - 1] * e
-            for r in range(n):
-                for col in range(n):
-                    report.require(
-                        f"J{a}J{b} = {'+' if e > 0 else '-'}J{c}",
-                        (a, b, r + 1, col + 1),
-                        prod[r, col], target[r, col],
-                    )
+            report.require_equal(
+                f"J{a}J{b} = {'+' if e > 0 else '-'}J{c}", (a, b),
+                p.j_ops[a - 1] @ p.j_ops[b - 1], p.j_ops[c - 1] * e,
+            )
     report.findings["extension_signature"] = "({},{},{})".format(*p.metric_signature)
     return report

@@ -51,7 +51,8 @@ class Tensor:
         self.contra = contra
         self.arity = arity
         self.dim = dim
-        self.comps: tuple[Fraction, ...] = tuple(as_scalar(c) for c in comps)
+        # zeros dominate most tensors; one shared ZERO keeps them small
+        self.comps: tuple[Fraction, ...] = tuple(as_scalar(c) or ZERO for c in comps)
         if len(self.comps) != dim ** self.nslots:
             raise ShapeError(
                 f"expected {dim ** self.nslots} components, got {len(self.comps)}"

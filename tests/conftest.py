@@ -29,9 +29,7 @@ from hn3 import (
     build_product,
     builtin_example,
     flat_example,
-    fundamental_tensor,
     hat_components,
-    metric_lie_derivative,
     nijenhuis_tensor,
     validate_lie_algebra,
 )
@@ -120,16 +118,14 @@ def products(bracket_fixtures):
     return {name: build_product(h) for name, h in bracket_fixtures.items()}
 
 
-# Memoized tensor computations.  The manifolds above are session-scoped
-# and hash by identity, so each (manifold, alpha) pair is computed once
-# for the whole run; tests stay independent because everything here is
-# immutable.
+# Memoized tensor computations that the manifold does not keep itself.
+# The manifolds above are session-scoped and hash by identity, so each
+# (manifold, alpha) pair is computed once for the whole run; tests stay
+# independent because everything here is immutable.
 
-zoo_f = lru_cache(maxsize=None)(fundamental_tensor)
 zoo_nij = lru_cache(maxsize=None)(nijenhuis_tensor)
 zoo_assoc = lru_cache(maxsize=None)(associated_nijenhuis)
 zoo_hats = lru_cache(maxsize=None)(hat_components)
-zoo_lg = lru_cache(maxsize=None)(metric_lie_derivative)
 zoo_jj = lru_cache(maxsize=None)(braces_nijenhuis_product)
 
 

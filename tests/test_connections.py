@@ -12,12 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import form_from_seeds, signed_perms, zoo_f
+from conftest import form_from_seeds, signed_perms
 from hn3 import (
     class_condition_alpha1,
     class_condition_alpha23,
     coincidence_check,
     connection_torsion,
+    fundamental_tensor,
     in_skew_torsion_class,
     natural_connection,
     naturality_report,
@@ -45,10 +46,10 @@ class TestClassConditions:
     def test_hold_on_builtin_family(self, lam_family):
         for lam in (Fraction(1), Fraction(-1), Fraction(5, 2)):
             h = lam_family[lam]
-            assert class_condition_alpha1(h, zoo_f(h, 1))
+            assert class_condition_alpha1(h)
             for alpha in (2, 3):
-                assert class_condition_alpha23(h, alpha, zoo_f(h, alpha))
-            assert all(in_skew_torsion_class(h, a, zoo_f(h, a)) for a in (1, 2, 3))
+                assert class_condition_alpha23(h, alpha)
+            assert all(in_skew_torsion_class(h, a) for a in (1, 2, 3))
 
     def test_hold_trivially_on_flat(self, flat):
         assert all(in_skew_torsion_class(flat, a) for a in (1, 2, 3))
@@ -56,10 +57,10 @@ class TestClassConditions:
     def test_fail_on_non_killing_reebs(self, solvable):
         # every Reeb vector of the solvable fixture has a Killing defect
         for alpha in (2, 3):
-            assert not class_condition_alpha23(solvable, alpha, zoo_f(solvable, alpha))
+            assert not class_condition_alpha23(solvable, alpha)
 
     def test_fail_on_broken_reflection_identity(self, solvable):
-        assert not class_condition_alpha1(solvable, zoo_f(solvable, 1))
+        assert not class_condition_alpha1(solvable)
         with pytest.raises(ExistenceError, match="reflection identity"):
             torsion_alpha1(solvable)
 
@@ -79,18 +80,18 @@ class TestTorsionForms:
     def test_component_tables(self, lam, lam_family):
         h = lam_family[lam]
         for alpha in (1, 2, 3):
-            assert structure_torsion(h, alpha, zoo_f(h, alpha)) == (
+            assert structure_torsion(h, alpha) == (
                 expected_torsion(h, alpha, lam)
             )
 
     def test_totally_skew(self, lam_family):
         h = lam_family[Fraction(5, 2)]
         for alpha in (1, 2, 3):
-            assert is_three_form(structure_torsion(h, alpha, zoo_f(h, alpha)))
+            assert is_three_form(structure_torsion(h, alpha))
 
     def test_two_routes_for_first_structure(self, lam_family, flat):
         for h in (lam_family[Fraction(2)], lam_family[Fraction(-7, 3)], flat):
-            assert torsion_alpha1(h, zoo_f(h, 1)) == torsion_alpha1_via_forms(h)
+            assert torsion_alpha1(h) == torsion_alpha1_via_forms(h)
 
     def test_zero_on_flat(self, flat):
         for alpha in (1, 2, 3):
@@ -134,7 +135,7 @@ class TestNaturalConnections:
     def test_non_three_form_rejected(self, builtin2):
         # the fundamental tensor has the right shape but is not totally skew
         with pytest.raises(SymmetryError):
-            natural_connection(builtin2, 1, torsion=zoo_f(builtin2, 1))
+            natural_connection(builtin2, 1, torsion=fundamental_tensor(builtin2, 1))
 
 
 class TestCoincidence:

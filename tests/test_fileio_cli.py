@@ -122,6 +122,15 @@ class TestSchemaErrors:
         with pytest.raises(StructureFileError, match="epsilon must be 1 or -1"):
             parse_structure(data)
 
+    @pytest.mark.parametrize("key", ["alpha", "epsilon"])
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_alpha_and_epsilon_must_be_integers(self, data, key, value):
+        # True and 1.0 both compare equal to 1
+        data["structures"][0][key] = value
+        with pytest.raises(StructureFileError, match=f"{key} must be") as e:
+            parse_structure(data)
+        assert e.value.path == f"/structures/0/{key}"
+
     def test_wrong_character_pattern(self, data):
         # schema-valid epsilons in the wrong pattern fail structurally,
         # not syntactically
@@ -182,6 +191,18 @@ class TestCLI:
         dump_structure(manifold_from_brackets(SOLVABLE_BRACKETS), p)
         assert run(["connection", str(p)]) == 1
         assert "does not admit a natural connection" in capsys.readouterr().err
+        # the reports still reach stdout: every structure fails its class
+        # condition, and the coincidence report names the failing ones
+        code, reports = run_json(capsys, ["connection", str(p), "--json"])
+        assert code == 1
+        checks = [r["check"] for r in reports]
+        assert checks == [f"naturality for structure {a}" for a in (1, 2, 3)] + [
+            "coincidence of the three natural connections"
+        ]
+        assert "reflection identity fails" in reports[0]["warnings"][0]
+        for r in reports[1:3]:
+            assert "cyclic or Killing condition fails" in r["warnings"][0]
+        assert "structures [1, 2, 3] fail" in reports[3]["warnings"][0]
 
     def test_compute_torsion_scales_with_lambda(self, capsys):
         code, one = run_json(capsys, ["compute", "--tensor", "T1", "--example",

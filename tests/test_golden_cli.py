@@ -1,0 +1,140 @@
+"""Golden command-line outputs on the example and the fixture manifolds.
+
+Every case runs ``hn3.cli.run`` in-process with ``--json`` and compares
+the exit code and the SHA-256 of standard output with ``golden_cli.json``.
+The table pins the CLI JSON byte for byte, including the order of every
+report, finding, tensor entry and violation, so any change to it has to
+be deliberate.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from conftest import (
+    CENTRAL_IMAGE_BRACKETS,
+    DISCRIMINATOR_BRACKETS,
+    SOLVABLE_BRACKETS,
+    manifold_from_brackets,
+)
+from hn3 import (
+    build_product,
+    builtin_example,
+    dump_structure,
+    flat_example,
+    load_structure,
+    structure_to_json,
+    validate_hypercomplex_hn,
+    validation_reports,
+)
+from hn3.cli import run
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+COMMANDS = (
+    ("validate",),
+    ("classify",),
+    ("connection",),
+    ("connection", "--force"),
+    ("product", "--alpha", "1", "--beta", "2"),
+    ("compute", "--tensor", "F1"),
+    ("compute", "--tensor", "T1"),
+    ("compute", "--tensor", "Nhat2"),
+    ("compute", "--tensor", "LC"),
+)
+
+FIXTURES = ("builtin", "flat", "solvable", "central_image", "discriminator")
+
+# one phi_1 entry flipped: parseable, but the composition and metric
+# identities fail at several components
+INVALID = "phi1-flipped"
+
+
+def fixture_manifold(name: str):
+    if name == "builtin":
+        return builtin_example(2)
+    if name == "flat":
+        return flat_example()
+    brackets = {
+        "solvable": SOLVABLE_BRACKETS,
+        "central_image": CENTRAL_IMAGE_BRACKETS,
+        "discriminator": DISCRIMINATOR_BRACKETS,
+    }[name]
+    return manifold_from_brackets(brackets)
+
+
+def write_inputs(directory: Path) -> dict[str, list[str]]:
+    """Input arguments by name: ``--example`` and one file per fixture."""
+    inputs = {"example": ["--example"]}
+    for name in FIXTURES:
+        path = directory / f"{name}.json"
+        dump_structure(fixture_manifold(name), path)
+        inputs[name] = [str(path)]
+    data = structure_to_json(builtin_example(2))
+    data["structures"][0]["phi"][0][1] = "1"
+    path = directory / f"{INVALID}.json"
+    path.write_text(json.dumps(data))
+    inputs[INVALID] = [str(path)]
+    return inputs
+
+
+def cases() -> list[tuple[str, tuple[str, ...]]]:
+    out = [(name, cmd) for name in ("example", *FIXTURES) for cmd in COMMANDS]
+    return out + [(INVALID, ("validate",))]
+
+
+def case_id(name: str, cmd: tuple[str, ...]) -> str:
+    return " ".join((name, *cmd))
+
+
+def invalid_reports_digest(inputs) -> dict:
+    """Every validator's report on the invalid file, violations in order.
+
+    ``hn3 validate`` stops at the first failed validator and prints nothing,
+    so this digest is what pins the order of the reported violations.
+    """
+    h = load_structure(inputs[INVALID][0], validate=False)
+    reports = validation_reports(h)
+    reports.append(validate_hypercomplex_hn(build_product(h, validate=False)))
+    text = json.dumps([r.to_json() for r in reports], indent=2)
+    return {
+        "violations": sum(len(r.violations) for r in reports),
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }
+
+
+def run_case(capsys, inputs, name, cmd) -> dict:
+    capsys.readouterr()
+    code = run([cmd[0], *inputs[name], *cmd[1:], "--json"])
+    out = capsys.readouterr().out
+    return {"exit": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize(
+    "name,cmd", cases(), ids=[case_id(n, c) for n, c in cases()]
+)
+def test_cli_output_matches_golden(name, cmd, inputs, golden, capsys):
+    assert run_case(capsys, inputs, name, cmd) == golden[case_id(name, cmd)]
+
+
+def test_invalid_file_violation_order(inputs, golden):
+    assert invalid_reports_digest(inputs) == golden[f"{INVALID} reports"]
+
+
+def test_golden_table_covers_every_case(golden):
+    expected = {case_id(n, c) for n, c in cases()} | {f"{INVALID} reports"}
+    assert set(golden) == expected

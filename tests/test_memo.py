@@ -1,0 +1,128 @@
+"""Each derived object is computed once per manifold and freed with it.
+
+A counting memo records what a manifold stores, and counting wrappers
+around ``covariant_derivative`` (which builds F_a and d eta_a) and
+``connection_torsion`` (the round trip that builds each natural
+connection D_a) catch any computation that bypasses the memo.
+"""
+
+from __future__ import annotations
+
+import types
+import weakref
+from collections import Counter
+
+import pytest
+
+import hn3
+from hn3 import (
+    associated_nijenhuis,
+    builtin_example,
+    class_condition_alpha1,
+    class_condition_alpha23,
+    coincidence_check,
+    exterior_d_eta,
+    fundamental_tensor,
+    metric_lie_derivative,
+    natural_connection,
+    nijenhuis_tensor,
+    structure_torsion,
+)
+from hn3 import connections, nijenhuis
+from hn3.cli import run
+
+ONCE_EACH = Counter({1: 1, 2: 1, 3: 1})
+
+
+class CountingMemo(dict):
+    """A manifold memo that counts what it stores, per builder and structure."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored: dict[str, Counter] = {}
+
+    def __setitem__(self, key, value):
+        build, alpha = key
+        self.stored.setdefault(build.__name__, Counter())[alpha] += 1
+        super().__setitem__(key, value)
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Calls of covariant_derivative in nijenhuis and of connection_torsion."""
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(nijenhuis, "covariant_derivative")
+    counted(connections, "connection_torsion")
+    return calls
+
+
+def counting_manifold():
+    h = builtin_example(2)
+    object.__setattr__(h, "_memo", CountingMemo())
+    return h
+
+
+def test_pipeline_computes_each_object_once(calls):
+    h = counting_manifold()
+    # classify, as the benchmark asks it: F passed in explicitly
+    funds = [fundamental_tensor(h, a) for a in (1, 2, 3)]
+    assert class_condition_alpha1(h, funds[0])
+    for a in (2, 3):
+        assert class_condition_alpha23(h, a, funds[a - 1])
+    for a in (1, 2, 3):
+        metric_lie_derivative(h, a)
+        exterior_d_eta(h, a)
+        nijenhuis_tensor(h, a)
+        associated_nijenhuis(h, a)
+    for a in (1, 2, 3):
+        natural_connection(h, a, structure_torsion(h, a))
+    assert calls["connection_torsion"] == 3
+    coincidence_check(h)
+    assert calls["connection_torsion"] == 3  # D_1, D_2, D_3 were reused
+    assert calls["covariant_derivative"] == 6  # F_a and d eta_a, once each
+    stored = h._memo.stored
+    for built in ("fundamental_tensor", "_torsion", "_natural_connection"):
+        assert stored[built] == ONCE_EACH, built
+
+
+def test_foreign_torsion_is_not_memoized(calls):
+    h = builtin_example(2)
+    own = natural_connection(h, 1)
+    other = natural_connection(h, 1, own.torsion * 1)  # equal, not the same object
+    assert other is not own and other.torsion == own.torsion
+    assert natural_connection(h, 1) is own
+    assert calls["connection_torsion"] == 2
+
+
+def test_connection_command_builds_three_connections(calls, capsys):
+    assert run(["connection", "--example", "--json"]) == 0
+    assert calls["connection_torsion"] == 3
+    assert calls["covariant_derivative"] == 3  # F_1, F_2, F_3
+
+
+def test_memo_is_freed_with_the_manifold():
+    h = builtin_example(2)
+    d = natural_connection(h, 1)
+    coincidence_check(h)
+    manifold, connection = weakref.ref(h), weakref.ref(d)
+    del h, d
+    # plain reference counting frees both: nothing else holds the manifold
+    assert manifold() is None and connection() is None
+
+
+def test_no_module_level_cache():
+    modules = [v for v in vars(hn3).values() if isinstance(v, types.ModuleType)]
+    assert connections in modules and nijenhuis in modules
+    for module in modules:
+        for name, value in vars(module).items():
+            assert not hasattr(value, "cache_info"), f"{module.__name__}.{name}"
