@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExistenceError, SymmetryError
+from .errors import ExistenceError, SymmetryError, ValidationError
 from .liealg import Connection, connection_torsion, covariant_derivative, \
     covariant_derivative_vector
 from .nijenhuis import (
@@ -203,7 +203,7 @@ def _connection_with_torsion(
     conn = Connection(gamma)
     recomputed = lower(connection_torsion(conn, h.mla.algebra), h.metric)
     if recomputed != t:
-        raise RuntimeError("torsion round-trip failed; inconsistent metric data")
+        raise ValidationError("torsion round-trip failed; inconsistent metric data")
     return NaturalConnection(alpha, conn, t)
 
 

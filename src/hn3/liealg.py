@@ -45,13 +45,13 @@ class LieAlgebra:
         Only listed entries are set; in particular the (j, i) partner of a
         listed bracket is NOT filled in automatically.
         """
-        dense = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), value in entries.items():
-            for index in (i, j, k):
+        comps = {}
+        for key, value in entries.items():
+            for index in key:
                 if not 1 <= index <= dim:
                     raise ShapeError(f"bracket index {index} out of range 1..{dim}")
-            dense[i - 1][j - 1][k - 1] = as_scalar(value)
-        return cls(dim, Tensor.build(1, 2, dim, lambda i, j, k: dense[i][j][k]))
+            comps[tuple(i - 1 for i in key)] = as_scalar(value)
+        return cls(dim, Tensor.from_dict(1, 2, dim, comps))
 
     @classmethod
     def abelian(cls, dim: int) -> LieAlgebra:
@@ -68,21 +68,17 @@ def validate_lie_algebra(alg: LieAlgebra) -> Report:
     """Report antisymmetry and Jacobi violations, one line per failed tuple."""
     report = Report("lie algebra axioms")
     c = alg.bracket
-    n = alg.dim
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                report.require(
-                    "antisymmetry", (i + 1, j + 1, k + 1), c[i, j, k], -c[j, i, k]
-                )
+    # only a tuple with a nonzero entry on either side can fail
+    for i, j, k in sorted({(min(i, j), max(i, j), k) for i, j, k in c.comps}):
+        report.require("antisymmetry", (i + 1, j + 1, k + 1), c[i, j, k], -c[j, i, k])
     # Jacobi totals are sums of products of two structure constants, so
     # only tuples touched by two nonzero entries can fail; every other
     # total is identically zero and needs no entry in the report.
     by_inner: dict[int, list] = {}
-    for (m, l, k), w in c.nonzero():
+    for (m, l, k), w in c.comps.items():
         by_inner.setdefault(m, []).append((l, k, w))
     totals: dict[tuple[int, int, int, int], Fraction] = {}
-    for (i, j, m), v in c.nonzero():
+    for (i, j, m), v in c.comps.items():
         for l, k, w in by_inner.get(m, ()):
             p = v * w
             for key in ((i, j, l, k), (l, i, j, k), (j, l, i, k)):
@@ -144,31 +140,9 @@ class MetricLieAlgebra:
         With all fields left-invariant the formula collapses to
         ``2 g(D_x y, z) = g([x,y],z) - g([y,z],x) + g([z,x],y)``.
         """
-        n = self.dim
-        g = self.metric
-        c = self.algebra.bracket
-        cg = [
-            [
-                [
-                    sum((c[a, b, m] * g[m, z] for m in range(n)), ZERO)
-                    for z in range(n)
-                ]
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        ginv = self.metric_inverse
-
-        def fn(i, j, k):
-            return sum(
-                (
-                    HALF * (cg[i][j][l] - cg[j][l][i] + cg[l][i][j]) * ginv[l, k]
-                    for l in range(n)
-                ),
-                ZERO,
-            )
-
-        return Connection(Tensor.build(1, 2, n, fn))
+        cg = lower(self.algebra.bracket, self.metric)  # g([x,y],z)
+        koszul = cg - tz.permute_args(cg, (1, 2, 0)) + tz.permute_args(cg, (2, 0, 1))
+        return Connection(tz.raise_last(koszul * HALF, self.metric_inverse))
 
     @cached_property
     def braces(self) -> Tensor:
@@ -200,37 +174,26 @@ def covariant_derivative(conn: Connection, t: Tensor) -> Tensor:
     n = t.dim
     if conn.dim != n:
         raise ShapeError("connection dimension mismatch")
-    gamma = conn.gamma
-
-    if t.contra == 0:
-
-        def fn(x, *args):
-            total = ZERO
-            for j, yj in enumerate(args):
-                for m in range(n):
-                    coeff = gamma[x, yj, m]
-                    if coeff != 0:
-                        total -= coeff * t[args[:j] + (m,) + args[j + 1:]]
-            return total
-
-        return Tensor.build(0, t.arity + 1, n, fn)
-
-    def fn(x, *rest):
-        *args, k = rest
-        args = tuple(args)
-        total = ZERO
-        for m in range(n):
-            coeff = gamma[x, m, k]
-            if coeff != 0:
-                total += coeff * t[args + (m,)]
-        for j, yj in enumerate(args):
-            for m in range(n):
-                coeff = gamma[x, yj, m]
-                if coeff != 0:
-                    total -= coeff * t[args[:j] + (m,) + args[j + 1:] + (k,)]
-        return total
-
-    return Tensor.build(1, t.arity + 1, n, fn)
+    # gamma[x, y, m] grouped by the index each term meets in t: m for the
+    # argument corrections, y for the derivative of the output vector
+    meets_arg: dict[int, list] = {}
+    meets_out: dict[int, list] = {}
+    for (x, y, m), c in conn.gamma.comps.items():
+        meets_arg.setdefault(m, []).append((x, y, c))
+        meets_out.setdefault(y, []).append((x, m, c))
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for idx, v in t.comps.items():
+        if t.contra:
+            head = idx[:-1]
+            for x, k, c in meets_out.get(idx[-1], ()):
+                key = (x,) + head + (k,)
+                acc[key] = acc.get(key, ZERO) + c * v
+        for j in range(t.arity):
+            head, tail = idx[:j], idx[j + 1:]
+            for x, y, c in meets_arg.get(idx[j], ()):
+                key = (x,) + head + (y,) + tail
+                acc[key] = acc.get(key, ZERO) - c * v
+    return Tensor.from_dict(t.contra, t.arity + 1, n, acc)
 
 
 def covariant_derivative_vector(conn: Connection, v: Vector) -> Tensor:
@@ -238,10 +201,11 @@ def covariant_derivative_vector(conn: Connection, v: Vector) -> Tensor:
     n = conn.dim
     if len(v) != n:
         raise ShapeError("vector dimension mismatch")
-    gamma = conn.gamma
-    return Tensor.build(
-        1, 1, n, lambda x, k: sum((v[m] * gamma[x, m, k] for m in range(n)), ZERO)
-    )
+    acc: dict[tuple[int, int], Fraction] = {}
+    for (x, m, k), c in conn.gamma.comps.items():
+        if v[m]:
+            acc[x, k] = acc.get((x, k), ZERO) + v[m] * c
+    return Tensor.from_dict(1, 1, n, acc)
 
 
 def connection_torsion(conn: Connection, alg: LieAlgebra) -> Tensor:
@@ -261,16 +225,9 @@ def lie_derivative_covector(alg: LieAlgebra, xi: Vector, eta: Tensor) -> Tensor:
     """Lie derivative of a constant one-form: ``(L_xi eta)(x) = -eta([xi, x])``."""
     if eta.contra != 0 or eta.arity != 1:
         raise ShapeError("need a one-form")
-    c = alg.bracket
-    n = alg.dim
-
-    def fn(x):
-        total = ZERO
-        for a in range(n):
-            if xi[a] == 0:
-                continue
-            for k in range(n):
-                total -= xi[a] * c[a, x, k] * eta[k]
-        return total
-
-    return Tensor.build(0, 1, n, fn)
+    acc: dict[tuple[int], Fraction] = {}
+    for (a, x, k), c in alg.bracket.comps.items():
+        w = xi[a] * eta[k]
+        if w:
+            acc[(x,)] = acc.get((x,), ZERO) - w * c
+    return Tensor.from_dict(0, 1, alg.dim, acc)

@@ -56,7 +56,7 @@ class Vector:
 
     def __mul__(self, scalar) -> Vector:
         s = as_scalar(scalar)
-        return Vector(a * s for a in self.entries)
+        return Vector(a * s if a else ZERO for a in self.entries)
 
     __rmul__ = __mul__
 
@@ -114,7 +114,8 @@ class Matrix:
     def outer(cls, u: Vector, w: Sequence) -> Matrix:
         """Rank-one matrix ``u wᵀ``; entry (i, j) is ``u[i]·w[j]``."""
         ws = [as_scalar(x) for x in w]
-        return cls([[ui * wj for wj in ws] for ui in u])
+        zeros = [ZERO] * len(ws)
+        return cls([[ui * wj if wj else ZERO for wj in ws] if ui else zeros for ui in u])
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
@@ -123,21 +124,30 @@ class Matrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
 
+    def sparse_rows(self) -> list[list[tuple[int, Fraction]]]:
+        """Row ``i`` as the ``(j, entry)`` pairs of its nonzero entries."""
+        return [[(j, a) for j, a in enumerate(row) if a] for row in self.entries]
+
     def column(self, j: int) -> Vector:
         return Vector(self.entries[i][j] for i in range(self.rows))
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = list(zip(*other.entries))
-        return Matrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
-        )
+        right = other.sparse_rows()
+        out = []
+        for row in self.sparse_rows():
+            acc = [ZERO] * other.cols
+            for j, a in row:
+                for k, b in right[j]:
+                    acc[k] += a * b
+            out.append(acc)
+        return Matrix(out)
 
     def apply(self, v: Vector) -> Vector:
         if self.cols != len(v):
             raise ShapeError(f"cannot apply {self.rows}x{self.cols} to a vector of length {len(v)}")
-        return Vector(sum(a * b for a, b in zip(row, v.entries)) for row in self.entries)
+        return Vector(sum((a * v[j] for j, a in row), ZERO) for row in self.sparse_rows())
 
     def __add__(self, other: Matrix) -> Matrix:
         self._match(other)
@@ -156,7 +166,7 @@ class Matrix:
 
     def __mul__(self, scalar) -> Matrix:
         s = as_scalar(scalar)
-        return Matrix([[a * s for a in row] for row in self.entries])
+        return Matrix([[a * s if a else ZERO for a in row] for row in self.entries])
 
     __rmul__ = __mul__
 

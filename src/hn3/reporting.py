@@ -9,12 +9,12 @@ equal report.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import ShapeError
 from .linalg import Matrix
-from .rational import as_scalar, format_scalar
+from .rational import ZERO, as_scalar, format_scalar
 from .tensor import Tensor
 
 TensorEntries = tuple[tuple[tuple[int, ...], Fraction], ...]
@@ -32,13 +32,17 @@ class Violation:
         return f"{self.identity} at ({where}): lhs = {self.lhs}, rhs = {self.rhs}"
 
 
-def _shape_and_entries(array) -> tuple[tuple[int, ...], tuple]:
+def _shape_and_nonzeros(array) -> tuple[tuple[int, ...], dict]:
+    """Shape and ``{0-based position: entry}`` of the nonzero entries."""
     if isinstance(array, Tensor):
         return (array.dim,) * array.nslots, array.comps
     if isinstance(array, Matrix):
-        return (array.rows, array.cols), tuple(itertools.chain(*array.entries))
+        nonzeros = {
+            (i, j): a for i, row in enumerate(array.sparse_rows()) for j, a in row
+        }
+        return (array.rows, array.cols), nonzeros
     entries = tuple(array)
-    return (len(entries),), entries
+    return (len(entries),), {(i,): a for i, a in enumerate(entries) if a}
 
 
 @dataclass
@@ -73,12 +77,18 @@ class Report:
         """
         if isinstance(identity, str):
             identity, rhs = (identity,), (rhs,)
-        shape, left = _shape_and_entries(lhs)
-        rights = [_shape_and_entries(r)[1] for r in rhs]
-        positions = itertools.product(*(range(1, n + 1) for n in shape))
-        for idx, value, *others in zip(positions, left, *rights, strict=True):
-            for name, other in zip(identity, others):
-                self.require(name, index_prefix + idx, value, other)
+        shape, left = _shape_and_nonzeros(lhs)
+        rights = []
+        for r in rhs:
+            r_shape, r_nonzeros = _shape_and_nonzeros(r)
+            if r_shape != shape:
+                raise ShapeError(f"cannot compare shapes {shape} and {r_shape}")
+            rights.append(r_nonzeros)
+        # entries that are zero on every side satisfy every identity
+        for pos in sorted(set(left).union(*rights)):
+            idx = index_prefix + tuple(i + 1 for i in pos)
+            for name, other in zip(identity, rights):
+                self.require(name, idx, left.get(pos, ZERO), other.get(pos, ZERO))
 
     def attach_tensor(self, name: str, t) -> None:
         self.tensors[name] = tuple(t.entries_1based())

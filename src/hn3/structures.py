@@ -120,6 +120,10 @@ def derived(build: Callable) -> Callable:
     return memoized
 
 
+def _dense(eta: Tensor) -> Vector:
+    return Vector(eta[i] for i in range(eta.dim))
+
+
 def validate_ac3(h: HN3Manifold) -> Report:
     """Composition laws of the structure triple, all pairs, all components.
 
@@ -139,7 +143,7 @@ def validate_ac3(h: HN3Manifold) -> Report:
         for b in (1, 2, 3):
             c = ({1, 2, 3} - {a, b}).pop() if a != b else 0
             e = epsilon_symbol(a, b, c) if a != b else 0
-            rhs = Matrix.outer(h.xi(a), h.eta(b).comps)
+            rhs = Matrix.outer(h.xi(a), _dense(h.eta(b)))
             if a == b:
                 rhs = rhs - Matrix.identity(n)
             else:
@@ -151,7 +155,7 @@ def validate_ac3(h: HN3Manifold) -> Report:
                 f"phi{a}.xi{b}", (a, b), h.phi(a).apply(h.xi(b)),
                 h.xi(c) * e if a != b else Vector.zero(n),
             )
-            eta_phi = h.phi(b).transpose().apply(Vector(h.eta(a).comps))
+            eta_phi = h.phi(b).transpose().apply(_dense(h.eta(a)))
             report.require_equal(
                 f"eta{a}.phi{b}", (a, b), eta_phi,
                 h.eta(c) * e if a != b else Vector.zero(n),
@@ -175,7 +179,7 @@ def validate_hn_metric(h: HN3Manifold) -> Report:
     n = h.dim
     for a in (1, 2, 3):
         phi, xi, eta, eps = h.phi(a), h.xi(a), h.eta(a), h.eps(a)
-        eta_eta = Matrix.outer(Vector(eta.comps), eta.comps)
+        eta_eta = Matrix.outer(_dense(eta), _dense(eta))
         report.require_equal(
             f"g(phi{a}.,phi{a}.) compatibility", (a,),
             phi.transpose() @ g @ phi, g * eps + eta_eta,
@@ -231,11 +235,7 @@ def build_product(h: HN3Manifold, validate: bool = True) -> ProductExtension:
         ]
         + [[ZERO] * n + [-ONE]]
     )
-    old = h.mla.algebra.bracket
-    ext_bracket = Tensor.build(
-        1, 2, n + 1,
-        lambda i, j, k: old[i, j, k] if i < n and j < n and k < n else ZERO,
-    )
+    ext_bracket = Tensor.from_dict(1, 2, n + 1, h.mla.algebra.bracket.comps)
     ext_mla = MetricLieAlgebra(LieAlgebra(n + 1, ext_bracket), ext_g)
     js = []
     for a in (1, 2, 3):

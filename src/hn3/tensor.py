@@ -4,9 +4,10 @@ throughout the package.
 Conventions
 -----------
 * A ``Tensor`` has ``contra`` in {0, 1} output slots and ``arity`` >= 1
-  argument slots.  Components are stored argument slots first; a vector
-  valued tensor keeps its output index LAST, so ``t[i, j, k]`` reads
-  "the k-th component of t(e_i, e_j)".
+  argument slots.  Only its nonzero components are stored, keyed by index
+  tuples with the argument slots first; a vector valued tensor keeps its
+  output index LAST, so ``t[i, j, k]`` reads "the k-th component of
+  t(e_i, e_j)".  Every kernel below multiplies stored nonzeros only.
 * ``lower`` contracts the output index with the metric into a NEW LAST
   argument slot: ``lower(t, g)(x.., z) = g(t(x..), e_z)``.
 * ``interior`` contracts a vector into the FIRST argument slot.
@@ -39,24 +40,44 @@ _PERMS3 = (
 
 
 class Tensor:
-    """Dense tensor of valence ``(contra, arity)`` on an n-dimensional frame."""
+    """Sparse exact tensor of valence ``(contra, arity)`` on an n-dimensional frame.
+
+    Only nonzero components are stored: ``comps`` maps 0-based index
+    tuples to nonzero Fractions, so two tensors of one valence are equal
+    exactly when their dicts are.  ``nonzero`` yields the entries in
+    row-major order.
+    """
 
     __slots__ = ("contra", "arity", "dim", "comps")
 
     def __init__(self, contra: int, arity: int, dim: int, comps):
+        """Build from all ``dim ** (contra + arity)`` components in row-major order."""
         if contra not in (0, 1):
             raise ShapeError("contra must be 0 or 1")
         if arity < 1:
             raise ShapeError("arity must be at least 1")
+        values = [as_scalar(c) for c in comps]
+        if len(values) != dim ** (arity + contra):
+            raise ShapeError(
+                f"expected {dim ** (arity + contra)} components, got {len(values)}"
+            )
         self.contra = contra
         self.arity = arity
         self.dim = dim
-        # zeros dominate most tensors; one shared ZERO keeps them small
-        self.comps: tuple[Fraction, ...] = tuple(as_scalar(c) or ZERO for c in comps)
-        if len(self.comps) != dim ** self.nslots:
-            raise ShapeError(
-                f"expected {dim ** self.nslots} components, got {len(self.comps)}"
-            )
+        positions = itertools.product(range(dim), repeat=arity + contra)
+        self.comps: dict[tuple[int, ...], Fraction] = {
+            idx: v for idx, v in zip(positions, values) if v
+        }
+
+    @classmethod
+    def from_dict(cls, contra: int, arity: int, dim: int, comps: dict) -> Tensor:
+        """Tensor from ``{idx: Fraction}``; zero values are dropped, keys are trusted."""
+        t = cls.__new__(cls)
+        t.contra = contra
+        t.arity = arity
+        t.dim = dim
+        t.comps = {idx: v for idx, v in comps.items() if v}
+        return t
 
     @property
     def nslots(self) -> int:
@@ -64,7 +85,7 @@ class Tensor:
 
     @classmethod
     def zeros(cls, contra: int, arity: int, dim: int) -> Tensor:
-        return cls(contra, arity, dim, [ZERO] * dim ** (arity + contra))
+        return cls.from_dict(contra, arity, dim, {})
 
     @classmethod
     def build(cls, contra: int, arity: int, dim: int, fn: Callable) -> Tensor:
@@ -76,39 +97,36 @@ class Tensor:
             [fn(*idx) for idx in itertools.product(range(dim), repeat=arity + contra)],
         )
 
-    def _offset(self, idx: tuple[int, ...]) -> int:
-        off = 0
-        for i in idx:
-            off = off * self.dim + i
-        return off
-
     def __getitem__(self, idx) -> Fraction:
         if isinstance(idx, int):
             idx = (idx,)
         if len(idx) != self.nslots:
             raise ShapeError(f"expected {self.nslots} indices, got {len(idx)}")
-        return self.comps[self._offset(tuple(idx))]
+        return self.comps.get(tuple(idx), ZERO)
+
+    def _like(self, comps: dict) -> Tensor:
+        return Tensor.from_dict(self.contra, self.arity, self.dim, comps)
 
     def __add__(self, other: Tensor) -> Tensor:
         self._match(other)
-        return Tensor(
-            self.contra, self.arity, self.dim,
-            [a + b for a, b in zip(self.comps, other.comps)],
-        )
+        out = dict(self.comps)
+        for idx, v in other.comps.items():
+            out[idx] = out.get(idx, ZERO) + v
+        return self._like(out)
 
     def __sub__(self, other: Tensor) -> Tensor:
         self._match(other)
-        return Tensor(
-            self.contra, self.arity, self.dim,
-            [a - b for a, b in zip(self.comps, other.comps)],
-        )
+        out = dict(self.comps)
+        for idx, v in other.comps.items():
+            out[idx] = out.get(idx, ZERO) - v
+        return self._like(out)
 
     def __neg__(self) -> Tensor:
-        return Tensor(self.contra, self.arity, self.dim, [-a for a in self.comps])
+        return self._like({idx: -v for idx, v in self.comps.items()})
 
     def __mul__(self, scalar) -> Tensor:
         s = as_scalar(scalar)
-        return Tensor(self.contra, self.arity, self.dim, [a * s for a in self.comps])
+        return self._like({idx: v * s for idx, v in self.comps.items()} if s else {})
 
     __rmul__ = __mul__
 
@@ -123,52 +141,29 @@ class Tensor:
         )
 
     def __hash__(self):
-        return hash((self.contra, self.arity, self.dim, self.comps))
+        return hash((self.contra, self.arity, self.dim, frozenset(self.comps.items())))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.comps)
+        return not self.comps
 
     def value_at(self, *vectors: Vector) -> Fraction | Vector:
         """Multilinear evaluation on argument vectors (mostly for tests)."""
         if len(vectors) != self.arity:
             raise ShapeError(f"expected {self.arity} vectors, got {len(vectors)}")
-        if self.contra == 0:
-            total = ZERO
-            for idx in itertools.product(range(self.dim), repeat=self.arity):
-                factor = self[idx]
-                for v, i in zip(vectors, idx):
-                    if factor == 0:
-                        break
-                    factor *= v[i]
-                total += factor
-            return total
         out = [ZERO] * self.dim
-        for idx in itertools.product(range(self.dim), repeat=self.arity):
-            for k in range(self.dim):
-                factor = self[idx + (k,)]
-                for v, i in zip(vectors, idx):
-                    if factor == 0:
-                        break
-                    factor *= v[i]
-                out[k] += factor
-        return Vector(out)
+        for idx, value in self.comps.items():
+            for v, i in zip(vectors, idx):
+                value *= v[i]
+            out[idx[-1] if self.contra else 0] += value
+        return Vector(out) if self.contra else out[0]
 
     def nonzero(self):
-        """Yield ``(idx, value)`` for every nonzero component, 0-based."""
-        for pos, value in enumerate(self.comps):
-            if value != 0:
-                idx = []
-                p = pos
-                for _ in range(self.nslots):
-                    idx.append(p % self.dim)
-                    p //= self.dim
-                yield tuple(reversed(idx)), value
+        """Yield ``(idx, value)`` for every nonzero component, 0-based, row-major."""
+        yield from sorted(self.comps.items())
 
     def entries_1based(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Sorted nonzero components with 1-based indices, for display."""
-        return sorted(
-            (tuple(i + 1 for i in idx), value) for idx, value in self.nonzero()
-        )
+        return [(tuple(i + 1 for i in idx), value) for idx, value in self.nonzero()]
 
     def symmetric_in(self, a: int, b: int) -> bool:
         return self == swap_args(self, a, b)
@@ -188,12 +183,40 @@ class Tensor:
         return f"Tensor{kind}dim{self.dim}[{entries or '0'}]"
 
 
+def _contract_slot(t: Tensor, pos: int, pairs, contra: int, arity: int) -> Tensor:
+    """Replace index ``m`` in slot ``pos`` by every ``k`` of ``pairs[m] = [(k, w)]``.
+
+    ``out[.., k, ..] = sum over m of w * t[.., m, ..]``; only the stored
+    nonzeros of ``t`` and the listed weights are multiplied.
+    """
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for idx, v in t.comps.items():
+        head, tail = idx[:pos], idx[pos + 1:]
+        for k, w in pairs[idx[pos]]:
+            key = head + (k,) + tail
+            acc[key] = acc.get(key, ZERO) + w * v
+    return Tensor.from_dict(contra, arity, t.dim, acc)
+
+
+def _outer(left: dict, right: dict, contra: int, arity: int, dim: int) -> Tensor:
+    """Tensor product of two component dicts, index tuples concatenated."""
+    return Tensor.from_dict(
+        contra, arity, dim,
+        {i + j: a * b for i, a in left.items() for j, b in right.items()},
+    )
+
+
+def _check_operator(op: Matrix, dim: int) -> None:
+    if op.rows != dim or op.cols != dim:
+        raise ShapeError("operator dimension mismatch")
+
+
 def tensor_from_operator(m: Matrix) -> Tensor:
     """View an endomorphism matrix as a (1,1) tensor: ``t[j, k] = (m e_j)^k``."""
     if m.rows != m.cols:
         raise ShapeError("operator must be square")
-    n = m.rows
-    return Tensor.build(1, 1, n, lambda j, k: m[k, j])
+    comps = {(j, k): a for k, row in enumerate(m.sparse_rows()) for j, a in row}
+    return Tensor.from_dict(1, 1, m.rows, comps)
 
 
 def operator_from_tensor(t: Tensor) -> Matrix:
@@ -206,7 +229,8 @@ def metric_tensor(g: Matrix) -> Tensor:
     """View a metric matrix as a (0,2) tensor."""
     if g.rows != g.cols:
         raise ShapeError("metric must be square")
-    return Tensor.build(0, 2, g.rows, lambda i, j: g[i, j])
+    comps = {(i, j): a for i, row in enumerate(g.sparse_rows()) for j, a in row}
+    return Tensor.from_dict(0, 2, g.rows, comps)
 
 
 def covector(entries) -> Tensor:
@@ -221,49 +245,29 @@ def lower(t: Tensor, g: Matrix) -> Tensor:
         raise ShapeError("lower needs a vector-valued tensor")
     if g.rows != t.dim or g.cols != t.dim:
         raise ShapeError("metric dimension mismatch")
-
-    cols = [
-        [(m, g[m, z]) for m in range(t.dim) if g[m, z] != 0] for z in range(t.dim)
-    ]
-
-    def fn(*idx):
-        *args, z = idx
-        args = tuple(args)
-        return sum((t[args + (m,)] * w for m, w in cols[z]), ZERO)
-
-    return Tensor.build(0, t.arity + 1, t.dim, fn)
+    # out(x.., z) = sum_m t(x..)^m g[m, z]
+    return _contract_slot(t, t.arity, g.sparse_rows(), 0, t.arity + 1)
 
 
 def raise_last(t: Tensor, g_inv: Matrix) -> Tensor:
     """Inverse of ``lower``: turn the last argument slot back into the output."""
     if t.contra != 0 or t.arity < 2:
         raise ShapeError("raise_last needs a (0,s) tensor with s >= 2")
-
-    cols = [
-        [(m, g_inv[m, k]) for m in range(t.dim) if g_inv[m, k] != 0]
-        for k in range(t.dim)
-    ]
-
-    def fn(*idx):
-        *args, k = idx
-        args = tuple(args)
-        return sum((t[args + (m,)] * w for m, w in cols[k]), ZERO)
-
-    return Tensor.build(1, t.arity - 1, t.dim, fn)
+    _check_operator(g_inv, t.dim)
+    # out(x..)^k = sum_m t(x.., m) g_inv[m, k]
+    return _contract_slot(t, t.arity - 1, g_inv.sparse_rows(), 1, t.arity - 1)
 
 
 def permute_args(t: Tensor, perm: tuple[int, ...]) -> Tensor:
     """Rearrange argument slots: ``out[idx] = t[idx[perm[0]], idx[perm[1]], ..]``."""
     if sorted(perm) != list(range(t.arity)):
         raise ShapeError(f"perm must rearrange {t.arity} argument slots")
-    if t.contra == 0:
-        return Tensor.build(0, t.arity, t.dim, lambda *idx: t[tuple(idx[p] for p in perm)])
-
-    def fn(*idx):
-        *args, k = idx
-        return t[tuple(args[p] for p in perm) + (k,)]
-
-    return Tensor.build(1, t.arity, t.dim, fn)
+    # the stored index s lands where out[perm[j]] = s[j]
+    where = [perm.index(p) for p in range(t.arity)]
+    n = t.arity
+    return t._like(
+        {tuple(s[j] for j in where) + s[n:]: v for s, v in t.comps.items()}
+    )
 
 
 def swap_args(t: Tensor, a: int, b: int) -> Tensor:
@@ -276,41 +280,18 @@ def precompose(t: Tensor, op: Matrix, slot: int) -> Tensor:
     """Feed ``op`` into one argument slot: ``out(.., x, ..) = t(.., op x, ..)``."""
     if not 0 <= slot < t.arity:
         raise ShapeError(f"slot {slot} out of range for arity {t.arity}")
-    if op.rows != t.dim or op.cols != t.dim:
-        raise ShapeError("operator dimension mismatch")
-
-    # structure operators are signed permutations on most inputs; walking
-    # only the nonzero column entries keeps the exact sums short
-    cols = [
-        [(m, op[m, i]) for m in range(t.dim) if op[m, i] != 0] for i in range(t.dim)
-    ]
-
-    def fn(*idx):
-        return sum(
-            (w * t[idx[:slot] + (m,) + idx[slot + 1:]] for m, w in cols[idx[slot]]),
-            ZERO,
-        )
-
-    return Tensor.build(t.contra, t.arity, t.dim, fn)
+    _check_operator(op, t.dim)
+    # out[.., i, ..] = sum_m op[m, i] t[.., m, ..]
+    return _contract_slot(t, slot, op.sparse_rows(), t.contra, t.arity)
 
 
 def postcompose(t: Tensor, op: Matrix) -> Tensor:
     """Apply ``op`` to the output of a (1,s) tensor: ``out(x..) = op(t(x..))``."""
     if t.contra != 1:
         raise ShapeError("postcompose needs a vector-valued tensor")
-    if op.rows != t.dim or op.cols != t.dim:
-        raise ShapeError("operator dimension mismatch")
-
-    rows = [
-        [(m, op[k, m]) for m in range(t.dim) if op[k, m] != 0] for k in range(t.dim)
-    ]
-
-    def fn(*idx):
-        *args, k = idx
-        args = tuple(args)
-        return sum((w * t[args + (m,)] for m, w in rows[k]), ZERO)
-
-    return Tensor.build(1, t.arity, t.dim, fn)
+    _check_operator(op, t.dim)
+    # out(x..)^k = sum_m op[k, m] t(x..)^m
+    return _contract_slot(t, t.arity, op.transpose().sparse_rows(), 1, t.arity)
 
 
 def contract_arg_with_vector(t: Tensor, v: Vector, slot: int) -> Tensor:
@@ -321,15 +302,13 @@ def contract_arg_with_vector(t: Tensor, v: Vector, slot: int) -> Tensor:
         raise ShapeError("vector dimension mismatch")
     if t.arity == 1 and t.contra == 0:
         raise ShapeError("contraction would leave no slots")
-
-    support = [(m, v[m]) for m in range(t.dim) if v[m] != 0]
-
-    def fn(*idx):
-        return sum(
-            (w * t[idx[:slot] + (m,) + idx[slot:]] for m, w in support), ZERO
-        )
-
-    return Tensor.build(t.contra, t.arity - 1, t.dim, fn)
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for idx, value in t.comps.items():
+        w = v[idx[slot]]
+        if w:
+            key = idx[:slot] + idx[slot + 1:]
+            acc[key] = acc.get(key, ZERO) + w * value
+    return Tensor.from_dict(t.contra, t.arity - 1, t.dim, acc)
 
 
 def interior(v: Vector, t: Tensor) -> Tensor:
@@ -343,11 +322,7 @@ def times_covector(t: Tensor, eta: Tensor) -> Tensor:
         raise ShapeError("times_covector combines a (0,s) tensor with a one-form")
     if eta.dim != t.dim:
         raise ShapeError("dimension mismatch")
-
-    def fn(*idx):
-        return t[idx[:-1]] * eta[idx[-1]]
-
-    return Tensor.build(0, t.arity + 1, t.dim, fn)
+    return _outer(t.comps, eta.comps, 0, t.arity + 1, t.dim)
 
 
 def covector_times(eta: Tensor, t: Tensor) -> Tensor:
@@ -356,11 +331,7 @@ def covector_times(eta: Tensor, t: Tensor) -> Tensor:
         raise ShapeError("covector_times combines a one-form with a (0,s) tensor")
     if eta.dim != t.dim:
         raise ShapeError("dimension mismatch")
-
-    def fn(*idx):
-        return eta[idx[0]] * t[idx[1:]]
-
-    return Tensor.build(0, t.arity + 1, t.dim, fn)
+    return _outer(eta.comps, t.comps, 0, t.arity + 1, t.dim)
 
 
 def times_vector(t: Tensor, v: Vector) -> Tensor:
@@ -369,11 +340,7 @@ def times_vector(t: Tensor, v: Vector) -> Tensor:
         raise ShapeError("times_vector needs a (0,s) tensor")
     if len(v) != t.dim:
         raise ShapeError("dimension mismatch")
-
-    def fn(*idx):
-        return t[idx[:-1]] * v[idx[-1]]
-
-    return Tensor.build(1, t.arity, t.dim, fn)
+    return _outer(t.comps, {(k,): x for k, x in enumerate(v) if x}, 1, t.arity, t.dim)
 
 
 def cyclic_sum(t: Tensor) -> Tensor:

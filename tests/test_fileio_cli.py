@@ -17,6 +17,7 @@ from hn3 import (
     structure_to_json,
 )
 from hn3.cli import run
+from hn3.tensor import Tensor
 
 JACOBI_BAD = {
     (1, 2, 1): 1,
@@ -203,6 +204,35 @@ class TestCLI:
         for r in reports[1:3]:
             assert "cyclic or Killing condition fails" in r["warnings"][0]
         assert "structures [1, 2, 3] fail" in reports[3]["warnings"][0]
+
+    def test_declared_dimension_allocates_nothing_before_the_checks(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # parsing costs time in proportion to the file, not to the declared
+        # dimension: no tensor is filled componentwise before the metric fails
+        def refuse(*args):
+            raise AssertionError("dense tensor built while parsing")
+
+        monkeypatch.setattr(Tensor, "build", classmethod(refuse))
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps({
+            "dimension": 50,
+            "brackets": [{"i": 1, "j": 50, "k": 49, "value": "1"},
+                         {"i": 50, "j": 1, "k": 49, "value": "-1"}],
+            "metric": [[1, 0], [0, 1]],
+            "structures": [],
+        }))
+        assert run(["validate", str(p)]) == 2
+        assert "/metric: expected 50 rows" in capsys.readouterr().err
+
+    def test_failed_torsion_round_trip_exits_1(self, capsys, monkeypatch):
+        import hn3.connections
+
+        monkeypatch.setattr(
+            hn3.connections, "connection_torsion", lambda conn, alg: Tensor.zeros(1, 2, alg.dim)
+        )
+        assert run(["connection", "--example"]) == 1
+        assert "check failed: torsion round-trip failed" in capsys.readouterr().err
 
     def test_compute_torsion_scales_with_lambda(self, capsys):
         code, one = run_json(capsys, ["compute", "--tensor", "T1", "--example",

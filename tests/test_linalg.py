@@ -14,6 +14,8 @@ rationals = st.builds(
     Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=6)
 )
 
+mostly_zero = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
+
 
 def square(n, elems=rationals):
     return st.lists(st.lists(elems, min_size=n, max_size=n), min_size=n, max_size=n)
@@ -71,6 +73,24 @@ class TestMatrix:
         a = Matrix(rows)
         b = Matrix([[r + 1 for r in row] for row in rows])
         assert (a @ b).transpose() == b.transpose() @ a.transpose()
+
+    @given(square(3, mostly_zero), square(3, mostly_zero), rationals)
+    @settings(max_examples=40, deadline=None)
+    def test_zero_skipping_products_match_full_sums(self, rows, other, s):
+        a, b = Matrix(rows), Matrix(other)
+        v = Vector(other[0])
+        assert (a @ b).entries == tuple(
+            tuple(sum(rows[i][k] * other[k][j] for k in range(3)) for j in range(3))
+            for i in range(3)
+        )
+        assert a.apply(v).entries == tuple(
+            sum(rows[i][k] * v[k] for k in range(3)) for i in range(3)
+        )
+        assert (a * s).entries == tuple(tuple(x * s for x in row) for row in rows)
+        assert (v * s).entries == tuple(x * s for x in v)
+        assert Matrix.outer(v, rows[1]).entries == tuple(
+            tuple(x * y for y in rows[1]) for x in v
+        )
 
     @given(square(3))
     @settings(max_examples=25, deadline=None)

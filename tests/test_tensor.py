@@ -7,13 +7,22 @@ their formulas from.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hn3 import Matrix, Vector, builtin_example
 from hn3.errors import ShapeError, SymmetryError
+from hn3.liealg import (
+    Connection,
+    LieAlgebra,
+    MetricLieAlgebra,
+    covariant_derivative,
+    covariant_derivative_vector,
+    lie_derivative_covector,
+)
 from hn3.tensor import (
     Tensor,
     alternation,
@@ -190,3 +199,224 @@ class TestCombinators:
     @settings(max_examples=20, deadline=None)
     def test_swap_args_is_involutive(self, t):
         assert swap_args(swap_args(t, 0, 1), 0, 1) == t
+
+
+# ---------------------------------------------------------------------------
+# The sparse kernels against the dense loops they replaced.  Each reference
+# below walks every index tuple and reads components through ``t[...]``,
+# exactly as the dense kernels did; the tensors drawn are mostly zeros and
+# the operators half zeros, the shape of every input the package sees.
+
+def dense_lower(t, g):
+    def fn(*idx):
+        *args, z = idx
+        return sum((t[tuple(args) + (m,)] * g[m, z] for m in range(t.dim)), Fraction(0))
+
+    return Tensor.build(0, t.arity + 1, t.dim, fn)
+
+
+def dense_raise_last(t, g_inv):
+    def fn(*idx):
+        *args, k = idx
+        return sum((t[tuple(args) + (m,)] * g_inv[m, k] for m in range(t.dim)), Fraction(0))
+
+    return Tensor.build(1, t.arity - 1, t.dim, fn)
+
+
+def dense_permute_args(t, perm):
+    def fn(*idx):
+        args, out = idx[:t.arity], idx[t.arity:]
+        return t[tuple(args[p] for p in perm) + out]
+
+    return Tensor.build(t.contra, t.arity, t.dim, fn)
+
+
+def dense_precompose(t, op, slot):
+    def fn(*idx):
+        return sum(
+            (op[m, idx[slot]] * t[idx[:slot] + (m,) + idx[slot + 1:]] for m in range(t.dim)),
+            Fraction(0),
+        )
+
+    return Tensor.build(t.contra, t.arity, t.dim, fn)
+
+
+def dense_postcompose(t, op):
+    def fn(*idx):
+        *args, k = idx
+        return sum((op[k, m] * t[tuple(args) + (m,)] for m in range(t.dim)), Fraction(0))
+
+    return Tensor.build(1, t.arity, t.dim, fn)
+
+
+def dense_contract(t, v, slot):
+    def fn(*idx):
+        return sum((v[m] * t[idx[:slot] + (m,) + idx[slot:]] for m in range(t.dim)), Fraction(0))
+
+    return Tensor.build(t.contra, t.arity - 1, t.dim, fn)
+
+
+def dense_covariant_derivative(gamma, t):
+    n = t.dim
+
+    def fn(x, *rest):
+        args = rest[:t.arity]
+        total = Fraction(0)
+        if t.contra:
+            k = rest[-1]
+            for m in range(n):
+                total += gamma[x, m, k] * t[args + (m,)]
+        for j, yj in enumerate(args):
+            for m in range(n):
+                total -= gamma[x, yj, m] * t[args[:j] + (m,) + args[j + 1:] + rest[t.arity:]]
+        return total
+
+    return Tensor.build(t.contra, t.arity + 1, n, fn)
+
+
+def dense_levi_civita(c, g):
+    n = c.dim
+    cg = [
+        [[sum((c[a, b, m] * g[m, z] for m in range(n)), Fraction(0)) for z in range(n)]
+         for b in range(n)]
+        for a in range(n)
+    ]
+    ginv = g.inverse()
+
+    def fn(i, j, k):
+        return sum(
+            (Fraction(1, 2) * (cg[i][j][l] - cg[j][l][i] + cg[l][i][j]) * ginv[l, k]
+             for l in range(n)),
+            Fraction(0),
+        )
+
+    return Tensor.build(1, 2, n, fn)
+
+
+nonzero_rationals = rationals.filter(bool)
+DIM = 3
+
+
+def sparse_tensors(contra: int, arity: int, dim: int = DIM):
+    n = dim ** (contra + arity)
+    return st.dictionaries(
+        st.integers(0, n - 1), nonzero_rationals, max_size=max(3, n // 6)
+    ).map(lambda d: Tensor(contra, arity, dim, [d.get(i, 0) for i in range(n)]))
+
+
+def half_zero(dim: int = DIM):
+    return st.lists(st.one_of(st.just(0), rationals), min_size=dim, max_size=dim)
+
+
+def matrices(dim: int = DIM):
+    return st.lists(half_zero(dim), min_size=dim, max_size=dim).map(Matrix)
+
+
+def assert_canonical_equal(sparse: Tensor, dense: Tensor):
+    """Same tensor, no stored zero, and nonzeros listed row-major."""
+    assert sparse == dense
+    assert 0 not in sparse.comps.values()
+    assert sum(1 for c in sparse.comps if c) == len(list(sparse.nonzero()))
+    every = itertools.product(range(sparse.dim), repeat=sparse.nslots)
+    assert list(sparse.nonzero()) == [(idx, sparse[idx]) for idx in every if sparse[idx]]
+
+
+class TestSparseKernels:
+    @given(sparse_tensors(0, 3), sparse_tensors(1, 2), matrices(), half_zero())
+    @settings(max_examples=40, deadline=None)
+    def test_slot_kernels_match_dense(self, f, b, op, v):
+        for t in (f, b):
+            for slot in range(t.arity):
+                assert_canonical_equal(precompose(t, op, slot), dense_precompose(t, op, slot))
+                w = Vector(v)
+                assert_canonical_equal(
+                    contract_arg_with_vector(t, w, slot), dense_contract(t, w, slot)
+                )
+            for perm in itertools.permutations(range(t.arity)):
+                assert_canonical_equal(permute_args(t, perm), dense_permute_args(t, perm))
+        assert_canonical_equal(postcompose(b, op), dense_postcompose(b, op))
+        assert_canonical_equal(lower(b, op), dense_lower(b, op))
+        assert_canonical_equal(raise_last(f, op), dense_raise_last(f, op))
+
+    @given(sparse_tensors(0, 2), sparse_tensors(0, 1), half_zero())
+    @settings(max_examples=40, deadline=None)
+    def test_outer_products_match_dense(self, t, eta, v):
+        w = Vector(v)
+        assert_canonical_equal(
+            times_covector(t, eta), Tensor.build(0, 3, DIM, lambda *i: t[i[:-1]] * eta[i[-1]])
+        )
+        assert_canonical_equal(
+            covector_times(eta, t), Tensor.build(0, 3, DIM, lambda *i: eta[i[0]] * t[i[1:]])
+        )
+        assert_canonical_equal(
+            times_vector(t, w), Tensor.build(1, 2, DIM, lambda *i: t[i[:-1]] * w[i[-1]])
+        )
+
+    @given(sparse_tensors(0, 2), sparse_tensors(0, 2), rationals)
+    @settings(max_examples=40, deadline=None)
+    def test_linear_combinations_match_dense(self, s, t, q):
+        def dense(fn):
+            return Tensor.build(0, 2, DIM, lambda *i: fn(s[i], t[i]))
+
+        assert_canonical_equal(s + t, dense(lambda a, b: a + b))
+        assert_canonical_equal(s - t, dense(lambda a, b: a - b))
+        assert_canonical_equal(-s, dense(lambda a, b: -a))
+        assert_canonical_equal(s * q, dense(lambda a, b: a * q))
+        assert (s - s).comps == {}
+        assert (s * 0).comps == {}
+
+    @given(sparse_tensors(1, 2), sparse_tensors(0, 2), sparse_tensors(1, 1), half_zero())
+    @settings(max_examples=40, deadline=None)
+    def test_covariant_derivatives_match_dense(self, gamma, t, op, v):
+        conn = Connection(gamma)
+        for tensor in (t, op):
+            assert_canonical_equal(
+                covariant_derivative(conn, tensor), dense_covariant_derivative(gamma, tensor)
+            )
+        w = Vector(v)
+        assert_canonical_equal(
+            covariant_derivative_vector(conn, w),
+            Tensor.build(1, 1, DIM, lambda x, k: sum(
+                (w[m] * gamma[x, m, k] for m in range(DIM)), Fraction(0))),
+        )
+
+    @given(sparse_tensors(1, 2), sparse_tensors(0, 1), half_zero())
+    @settings(max_examples=40, deadline=None)
+    def test_lie_derivative_covector_matches_dense(self, c, eta, v):
+        xi = Vector(v)
+        expected = Tensor.build(0, 1, DIM, lambda x: -sum(
+            (xi[a] * c[a, x, k] * eta[k] for a in range(DIM) for k in range(DIM)),
+            Fraction(0)))
+        assert_canonical_equal(lie_derivative_covector(LieAlgebra(DIM, c), xi, eta), expected)
+
+    @given(sparse_tensors(1, 2, dim=4), st.lists(half_zero(4), min_size=4, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_levi_civita_matches_dense_koszul(self, c, rows):
+        g = Matrix([[rows[min(i, j)][max(i, j)] for j in range(4)] for i in range(4)])
+        assume(g.rank() == 4)
+        mla = MetricLieAlgebra(LieAlgebra(4, c), g)
+        assert_canonical_equal(mla.levi_civita.gamma, dense_levi_civita(c, g))
+
+
+class TestCanonicalForm:
+    def test_dense_constructor_stores_nonzeros_only(self):
+        t = Tensor(0, 2, 2, [0, Fraction(3, 2), 0, "0/5"])
+        assert t.comps == {(0, 1): Fraction(3, 2)}
+        assert Tensor.zeros(1, 2, 3).comps == {}
+        assert Tensor.from_dict(0, 1, 2, {(0,): Fraction(0), (1,): Fraction(1)}).comps == {
+            (1,): 1
+        }
+
+    def test_cancellation_leaves_nothing_stored(self):
+        h = builtin_example(2)
+        t = tensor_from_operator(h.phi(1))
+        assert (t - t).comps == {}
+        assert (t + -t).is_zero()
+        assert 0 not in postcompose(t, h.phi(1)).comps.values()
+
+    def test_nonzero_count_reads_the_keys(self):
+        # every key is a non-empty index tuple, so counting truthy keys, as
+        # the benchmark does, counts the stored nonzeros
+        t = Tensor.build(0, 1, 3, lambda i: Fraction(i == 0))
+        assert t.comps == {(0,): 1}
+        assert sum(1 for c in t.comps if c) == len(list(t.nonzero())) == 1
