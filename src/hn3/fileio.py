@@ -12,7 +12,7 @@ A structure file is a JSON object with four keys:
   that slot.
 
 Scalars are strings ``"p/q"`` (or ``"p"``) or plain JSON integers; floats
-are rejected to keep everything exact.  ``load_structure`` can run the
+are rejected to keep everything exact, and so is exponent notation.  ``load_structure`` can run the
 validators on the parsed data; schema problems and mathematical
 invalidity are distinct failure kinds.
 """
@@ -154,10 +154,9 @@ def validation_reports(h: HN3Manifold) -> list[Report]:
 
 def load_structure(path: str | Path, validate: bool = True) -> HN3Manifold:
     """Parse a structure file; with ``validate`` re-derive all its invariants."""
-    raw = Path(path).read_text()
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or UTF-8, or an int past Python's digit limit
         raise StructureFileError(f"invalid JSON: {exc}", "/") from exc
     h = parse_structure(data)
     if validate:

@@ -1,9 +1,16 @@
-"""Dense exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the rationals.
+
+Vectors, matrices and the tensors of ``hn3.tensor`` share one storage,
+``Array``: only the nonzero entries are kept, in ``comps``, a dict from
+0-based index tuples to Fractions, next to the array's ``shape``.  The
+entrywise arithmetic, equality and hashing are written once, on that
+dict, and every product multiplies stored nonzeros only.
 
 Matrices act on column vectors, so column ``j`` of an operator holds the
-image of the ``j``-th basis vector.  All entries are Fractions and every
-routine is exact; there is no pivot-size heuristic anywhere because there
-is no rounding to fight.
+image of the ``j``-th basis vector; entry ``(i, j)`` is keyed ``(i, j)``.
+Only ``inverse``, ``rank`` and ``signature`` expand a matrix into dense
+rows, for elimination.  Every routine is exact; there is no pivot-size
+heuristic anywhere because there is no rounding to fight.
 """
 
 from __future__ import annotations
@@ -15,181 +22,208 @@ from .errors import ShapeError, SingularMatrixError, SymmetryError
 from .rational import ONE, ZERO, as_scalar
 
 
-class Vector:
-    """Fixed-length tuple of rational components."""
+class Array:
+    """Exact array that stores only its nonzero entries.
 
-    __slots__ = ("entries",)
+    ``comps`` maps 0-based index tuples to nonzero Fractions and ``shape``
+    gives the range of each index.  No zero is ever stored, so two arrays
+    of one kind are equal exactly when their dicts are.  A subclass whose
+    kind is more than its class and shape (a tensor's valence) extends
+    ``_kind`` and ``_like``.
+    """
+
+    __slots__ = ("shape", "comps")
+
+    @classmethod
+    def from_dict(cls, shape: tuple[int, ...], comps: dict):
+        """Array from ``{idx: Fraction}``; zero values are dropped, keys are trusted."""
+        out = object.__new__(cls)
+        out.shape = shape
+        out.comps = {idx: v for idx, v in comps.items() if v}
+        return out
+
+    def _kind(self) -> tuple:
+        """What two arrays must share to be added, subtracted or equal."""
+        return type(self).__name__, self.shape
+
+    def _like(self, comps: dict):
+        """An array of the same kind holding ``comps``."""
+        return type(self).from_dict(self.shape, comps)
+
+    def _match(self, other: Array) -> None:
+        if self._kind() != other._kind():
+            raise ShapeError(f"cannot combine {self._kind()} with {other._kind()}")
+
+    def __getitem__(self, idx) -> Fraction:
+        key = idx if isinstance(idx, tuple) else (idx,)
+        if len(key) != len(self.shape):
+            raise ShapeError(f"expected {len(self.shape)} indices, got {len(key)}")
+        return self.comps.get(key, ZERO)
+
+    def __add__(self, other: Array):
+        self._match(other)
+        out = dict(self.comps)
+        for idx, v in other.comps.items():
+            out[idx] = out.get(idx, ZERO) + v
+        return self._like(out)
+
+    def __sub__(self, other: Array):
+        self._match(other)
+        out = dict(self.comps)
+        for idx, v in other.comps.items():
+            out[idx] = out.get(idx, ZERO) - v
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({idx: -v for idx, v in self.comps.items()})
+
+    def __mul__(self, scalar):
+        s = as_scalar(scalar)
+        return self._like({idx: v * s for idx, v in self.comps.items()} if s else {})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Array):
+            return NotImplemented
+        return self._kind() == other._kind() and self.comps == other.comps
+
+    def __hash__(self):
+        return hash((self._kind(), frozenset(self.comps.items())))
+
+    def is_zero(self) -> bool:
+        return not self.comps
+
+    def nonzero(self):
+        """Yield ``(idx, value)`` for every nonzero entry, 0-based, row-major."""
+        yield from sorted(self.comps.items())
+
+    def entries_1based(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """Sorted nonzero entries with 1-based indices, for display."""
+        return [(tuple(i + 1 for i in idx), value) for idx, value in self.nonzero()]
+
+    def __repr__(self) -> str:
+        entries = ", ".join(f"{idx}={value}" for idx, value in self.entries_1based()[:8])
+        return f"{type(self).__name__}{self.shape}[{entries or '0'}]"
+
+
+class Vector(Array):
+    """Rational column vector of shape ``(n,)``."""
+
+    __slots__ = ()
 
     def __init__(self, entries: Iterable):
-        self.entries: tuple[Fraction, ...] = tuple(as_scalar(e) for e in entries)
-        if not self.entries:
+        values = [as_scalar(e) for e in entries]
+        if not values:
             raise ShapeError("empty vector")
+        self.shape = (len(values),)
+        self.comps = {(i,): v for i, v in enumerate(values) if v}
 
     @classmethod
     def zero(cls, n: int) -> Vector:
-        return cls([ZERO] * n)
+        return cls.from_dict((n,), {})
 
     @classmethod
     def basis(cls, n: int, i: int) -> Vector:
         """The ``i``-th standard basis vector (0-based) in dimension ``n``."""
-        return cls([ONE if j == i else ZERO for j in range(n)])
+        return cls.from_dict((n,), {(i,): ONE})
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
+        return self.shape[0]
 
     def __iter__(self):
-        return iter(self.entries)
-
-    def __add__(self, other: Vector) -> Vector:
-        self._match(other)
-        return Vector(a + b for a, b in zip(self.entries, other.entries))
-
-    def __sub__(self, other: Vector) -> Vector:
-        self._match(other)
-        return Vector(a - b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self) -> Vector:
-        return Vector(-a for a in self.entries)
-
-    def __mul__(self, scalar) -> Vector:
-        s = as_scalar(scalar)
-        return Vector(a * s if a else ZERO for a in self.entries)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Vector):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
-    def _match(self, other: Vector) -> None:
-        if len(self) != len(other):
-            raise ShapeError(f"vector lengths differ: {len(self)} vs {len(other)}")
-
-    def __repr__(self) -> str:
-        return f"Vector({list(map(str, self.entries))})"
+        return (self.comps.get((i,), ZERO) for i in range(self.shape[0]))
 
 
-class Matrix:
-    """Immutable dense rational matrix."""
+class Matrix(Array):
+    """Rational matrix of shape ``(rows, cols)``, entries keyed ``(row, col)``."""
 
-    __slots__ = ("entries", "rows", "cols")
+    __slots__ = ()
 
     def __init__(self, rows: Iterable[Iterable]):
-        self.entries: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(as_scalar(e) for e in row) for row in rows
-        )
-        if not self.entries:
+        dense = [[as_scalar(e) for e in row] for row in rows]
+        if not dense:
             raise ShapeError("empty matrix")
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0])
-        if any(len(row) != self.cols for row in self.entries):
+        if any(len(row) != len(dense[0]) for row in dense):
             raise ShapeError("ragged rows")
+        self.shape = (len(dense), len(dense[0]))
+        self.comps = {
+            (i, j): a for i, row in enumerate(dense) for j, a in enumerate(row) if a
+        }
+
+    @property
+    def rows(self) -> int:
+        return self.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.shape[1]
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls.from_dict((n, n), {(i, i): ONE for i in range(n)})
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> Matrix:
-        cols = rows if cols is None else cols
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls.from_dict((rows, rows if cols is None else cols), {})
 
     @classmethod
     def diagonal(cls, values: Sequence) -> Matrix:
-        vals = [as_scalar(v) for v in values]
-        n = len(vals)
-        return cls([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        n = len(values)
+        return cls.from_dict((n, n), {(i, i): as_scalar(v) for i, v in enumerate(values)})
 
     @classmethod
-    def outer(cls, u: Vector, w: Sequence) -> Matrix:
-        """Rank-one matrix ``u wᵀ``; entry (i, j) is ``u[i]·w[j]``."""
-        ws = [as_scalar(x) for x in w]
-        zeros = [ZERO] * len(ws)
-        return cls([[ui * wj if wj else ZERO for wj in ws] if ui else zeros for ui in u])
+    def outer(cls, u: Array, w: Array) -> Matrix:
+        """Rank-one ``u wᵀ`` of two vectors or one-forms; entry (i, j) is ``u[i]·w[j]``."""
+        return cls.from_dict(
+            (u.shape[0], w.shape[0]),
+            {(i, j): a * b for (i,), a in u.comps.items() for (j,), b in w.comps.items()},
+        )
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def sparse_rows(self) -> list[list[tuple[int, Fraction]]]:
-        """Row ``i`` as the ``(j, entry)`` pairs of its nonzero entries."""
-        return [[(j, a) for j, a in enumerate(row) if a] for row in self.entries]
-
-    def column(self, j: int) -> Vector:
-        return Vector(self.entries[i][j] for i in range(self.rows))
+    def lines(self, axis: int = 0) -> dict[int, list[tuple[int, Fraction]]]:
+        """Nonzeros grouped by row (``axis`` 0) or by column (1): ``{m: [(k, entry)]}``."""
+        out: dict[int, list[tuple[int, Fraction]]] = {}
+        for idx, a in self.comps.items():
+            out.setdefault(idx[axis], []).append((idx[1 - axis], a))
+        return out
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
-            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        right = other.sparse_rows()
-        out = []
-        for row in self.sparse_rows():
-            acc = [ZERO] * other.cols
-            for j, a in row:
-                for k, b in right[j]:
-                    acc[k] += a * b
-            out.append(acc)
-        return Matrix(out)
+            raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
+        right = other.lines()
+        acc: dict[tuple[int, int], Fraction] = {}
+        for (i, j), a in self.comps.items():
+            for k, b in right.get(j, ()):
+                acc[i, k] = acc.get((i, k), ZERO) + a * b
+        return Matrix.from_dict((self.rows, other.cols), acc)
 
-    def apply(self, v: Vector) -> Vector:
-        if self.cols != len(v):
-            raise ShapeError(f"cannot apply {self.rows}x{self.cols} to a vector of length {len(v)}")
-        return Vector(sum((a * v[j] for j, a in row), ZERO) for row in self.sparse_rows())
-
-    def __add__(self, other: Matrix) -> Matrix:
-        self._match(other)
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        self._match(other)
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
-
-    def __neg__(self) -> Matrix:
-        return Matrix([[-a for a in row] for row in self.entries])
-
-    def __mul__(self, scalar) -> Matrix:
-        s = as_scalar(scalar)
-        return Matrix([[a * s if a else ZERO for a in row] for row in self.entries])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
+    def apply(self, v: Array) -> Vector:
+        """``self v`` for a vector, or the components of a one-form, of length ``cols``."""
+        if v.shape != (self.cols,):
+            raise ShapeError(f"cannot apply {self.shape} to an array of shape {v.shape}")
+        acc: dict[tuple[int], Fraction] = {}
+        for (i, j), a in self.comps.items():
+            w = v.comps.get((j,))
+            if w:
+                key = (i,)
+                acc[key] = acc.get(key, ZERO) + a * w
+        return Vector.from_dict((self.rows,), acc)
 
     def transpose(self) -> Matrix:
-        return Matrix(zip(*self.entries))
+        return Matrix.from_dict(
+            (self.cols, self.rows), {(j, i): a for (i, j), a in self.comps.items()}
+        )
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
+            self.comps.get((j, i)) == a for (i, j), a in self.comps.items()
         )
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
+    def _dense_rows(self) -> list[list[Fraction]]:
+        return [
+            [self.comps.get((i, j), ZERO) for j in range(self.cols)]
+            for i in range(self.rows)
+        ]
 
     def inverse(self) -> Matrix:
         """Exact inverse by Gauss-Jordan elimination."""
@@ -197,8 +231,8 @@ class Matrix:
             raise ShapeError("only square matrices have inverses")
         n = self.rows
         aug = [
-            list(self.entries[i]) + [ONE if i == j else ZERO for j in range(n)]
-            for i in range(n)
+            row + [ONE if i == j else ZERO for j in range(n)]
+            for i, row in enumerate(self._dense_rows())
         ]
         for col in range(n):
             pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
@@ -214,7 +248,7 @@ class Matrix:
         return Matrix(row[n:] for row in aug)
 
     def rank(self) -> int:
-        a = [list(row) for row in self.entries]
+        a = self._dense_rows()
         pivots = 0
         for col in range(self.cols):
             pivot = next((r for r in range(pivots, self.rows) if a[r][col] != 0), None)
@@ -228,16 +262,6 @@ class Matrix:
                     a[r] = [x - f * y for x, y in zip(a[r], a[pivots])]
             pivots += 1
         return pivots
-
-    def _match(self, other: Matrix) -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError(
-                f"shapes differ: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(map(str, row)) for row in self.entries)
-        return f"Matrix[{body}]"
 
 
 def signature(m: Matrix) -> tuple[int, int, int]:
@@ -254,7 +278,7 @@ def signature(m: Matrix) -> tuple[int, int, int]:
     if not m.is_symmetric():
         raise SymmetryError("signature needs a symmetric matrix")
     n = m.rows
-    a = [list(row) for row in m.entries]
+    a = m._dense_rows()
     pos = neg = zero = 0
 
     def add_sym(i: int, j: int, f: Fraction) -> None:

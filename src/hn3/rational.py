@@ -19,7 +19,7 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a string like ``"p/q"``, or a Fraction to a Fraction.
 
     Floats are refused: they carry rounding by construction and would
-    silently poison exact results.
+    silently poison exact results.  So are strings in exponent notation.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
@@ -28,6 +28,10 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # exponent notation is refused: "1e10000000" would cost time and
+        # memory exponential in the length of the string
+        if "e" in value or "E" in value:
+            raise ValueError(f"not a rational number: {value!r}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -3,8 +3,7 @@
 A report collects everything one check produced: componentwise violations
 (index tuple, both sides of the failed identity), free-form warnings,
 boolean or textual findings, and optionally tensors to display.  The JSON
-rendering contains exactly the same data and ``from_json`` restores an
-equal report.
+rendering contains exactly the same data.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ShapeError
-from .linalg import Matrix
 from .rational import ZERO, as_scalar, format_scalar
-from .tensor import Tensor
 
 TensorEntries = tuple[tuple[tuple[int, ...], Fraction], ...]
 
@@ -30,19 +27,6 @@ class Violation:
     def render(self) -> str:
         where = ",".join(map(str, self.indices))
         return f"{self.identity} at ({where}): lhs = {self.lhs}, rhs = {self.rhs}"
-
-
-def _shape_and_nonzeros(array) -> tuple[tuple[int, ...], dict]:
-    """Shape and ``{0-based position: entry}`` of the nonzero entries."""
-    if isinstance(array, Tensor):
-        return (array.dim,) * array.nslots, array.comps
-    if isinstance(array, Matrix):
-        nonzeros = {
-            (i, j): a for i, row in enumerate(array.sparse_rows()) for j, a in row
-        }
-        return (array.rows, array.cols), nonzeros
-    entries = tuple(array)
-    return (len(entries),), {(i,): a for i, a in enumerate(entries) if a}
 
 
 @dataclass
@@ -71,19 +55,16 @@ class Report:
     def require_equal(self, identity, index_prefix: tuple, lhs, rhs) -> None:
         """``require`` at every entry of two equally shaped arrays, row-major.
 
-        Arrays are tensors, matrices, vectors or scalar sequences; indices are
-        ``index_prefix`` plus the entry's 1-based position.  Tuples of
-        identities and right sides check each identity in turn at each entry.
+        Arrays are tensors, matrices or vectors; indices are ``index_prefix``
+        plus the entry's 1-based position.  Tuples of identities and right
+        sides check each identity in turn at each entry.
         """
         if isinstance(identity, str):
             identity, rhs = (identity,), (rhs,)
-        shape, left = _shape_and_nonzeros(lhs)
-        rights = []
         for r in rhs:
-            r_shape, r_nonzeros = _shape_and_nonzeros(r)
-            if r_shape != shape:
-                raise ShapeError(f"cannot compare shapes {shape} and {r_shape}")
-            rights.append(r_nonzeros)
+            if r.shape != lhs.shape:
+                raise ShapeError(f"cannot compare shapes {lhs.shape} and {r.shape}")
+        left, rights = lhs.comps, [r.comps for r in rhs]
         # entries that are zero on every side satisfy every identity
         for pos in sorted(set(left).union(*rights)):
             idx = index_prefix + tuple(i + 1 for i in pos)
@@ -117,26 +98,6 @@ class Report:
                 for name, entries in self.tensors.items()
             }
         return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> Report:
-        report = cls(check=data["check"])
-        for v in data.get("violations", ()):
-            report.violations.append(
-                Violation(
-                    v.get("identity", ""),
-                    tuple(v["indices"]),
-                    as_scalar(v["lhs"]),
-                    as_scalar(v["rhs"]),
-                )
-            )
-        report.warnings = list(data.get("warnings", ()))
-        report.findings = dict(data.get("findings", {}))
-        for name, entries in data.get("tensors", {}).items():
-            report.tensors[name] = tuple(
-                (tuple(e["indices"]), as_scalar(e["value"])) for e in entries
-            )
-        return report
 
     def render(self) -> str:
         lines = [f"[{self.status.upper()}] {self.check}"]

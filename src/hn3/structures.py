@@ -20,7 +20,7 @@ from .linalg import Matrix, Vector, signature
 from .liealg import LieAlgebra, MetricLieAlgebra
 from .rational import ONE, ZERO
 from .reporting import Report
-from .tensor import Tensor, covector
+from .tensor import Tensor
 
 EPSILONS = (1, -1, -1)
 
@@ -120,10 +120,6 @@ def derived(build: Callable) -> Callable:
     return memoized
 
 
-def _dense(eta: Tensor) -> Vector:
-    return Vector(eta[i] for i in range(eta.dim))
-
-
 def validate_ac3(h: HN3Manifold) -> Report:
     """Composition laws of the structure triple, all pairs, all components.
 
@@ -143,7 +139,7 @@ def validate_ac3(h: HN3Manifold) -> Report:
         for b in (1, 2, 3):
             c = ({1, 2, 3} - {a, b}).pop() if a != b else 0
             e = epsilon_symbol(a, b, c) if a != b else 0
-            rhs = Matrix.outer(h.xi(a), _dense(h.eta(b)))
+            rhs = Matrix.outer(h.xi(a), h.eta(b))
             if a == b:
                 rhs = rhs - Matrix.identity(n)
             else:
@@ -155,7 +151,7 @@ def validate_ac3(h: HN3Manifold) -> Report:
                 f"phi{a}.xi{b}", (a, b), h.phi(a).apply(h.xi(b)),
                 h.xi(c) * e if a != b else Vector.zero(n),
             )
-            eta_phi = h.phi(b).transpose().apply(_dense(h.eta(a)))
+            eta_phi = h.phi(b).transpose().apply(h.eta(a))
             report.require_equal(
                 f"eta{a}.phi{b}", (a, b), eta_phi,
                 h.eta(c) * e if a != b else Vector.zero(n),
@@ -179,7 +175,7 @@ def validate_hn_metric(h: HN3Manifold) -> Report:
     n = h.dim
     for a in (1, 2, 3):
         phi, xi, eta, eps = h.phi(a), h.xi(a), h.eta(a), h.eps(a)
-        eta_eta = Matrix.outer(_dense(eta), _dense(eta))
+        eta_eta = Matrix.outer(eta, eta)
         report.require_equal(
             f"g(phi{a}.,phi{a}.) compatibility", (a,),
             phi.transpose() @ g @ phi, g * eps + eta_eta,
@@ -228,23 +224,16 @@ def build_product(h: HN3Manifold, validate: bool = True) -> ProductExtension:
                     f"({len(rep.violations)} violations in total)"
                 )
     n = h.dim
-    ext_g = Matrix(
-        [
-            [h.metric[i, j] if i < n and j < n else ZERO for j in range(n + 1)]
-            for i in range(n)
-        ]
-        + [[ZERO] * n + [-ONE]]
-    )
+    ext_g = Matrix.from_dict((n + 1, n + 1), {**h.metric.comps, (n, n): -ONE})
     ext_bracket = Tensor.from_dict(1, 2, n + 1, h.mla.algebra.bracket.comps)
     ext_mla = MetricLieAlgebra(LieAlgebra(n + 1, ext_bracket), ext_g)
     js = []
     for a in (1, 2, 3):
-        phi, xi, eta = h.phi(a), h.xi(a), h.eta(a)
-        rows = [
-            [phi[i, j] if j < n else -xi[i] for j in range(n + 1)] for i in range(n)
-        ]
-        rows.append([eta[j] for j in range(n)] + [ZERO])
-        js.append(Matrix(rows))
+        # phi_a, with -xi_a in the new last column and eta_a in the new last row
+        comps = dict(h.phi(a).comps)
+        comps.update({(i, n): -x for (i,), x in h.xi(a).comps.items()})
+        comps.update({(n, i): x for (i,), x in h.eta(a).comps.items()})
+        js.append(Matrix.from_dict((n + 1, n + 1), comps))
     return ProductExtension(h, ext_mla, tuple(js))
 
 

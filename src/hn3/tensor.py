@@ -26,7 +26,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .errors import ShapeError, SymmetryError
-from .linalg import Matrix, Vector
+from .linalg import Array, Matrix, Vector
 from .rational import ZERO, as_scalar
 
 _PERMS3 = (
@@ -39,16 +39,16 @@ _PERMS3 = (
 )
 
 
-class Tensor:
+class Tensor(Array):
     """Sparse exact tensor of valence ``(contra, arity)`` on an n-dimensional frame.
 
-    Only nonzero components are stored: ``comps`` maps 0-based index
-    tuples to nonzero Fractions, so two tensors of one valence are equal
-    exactly when their dicts are.  ``nonzero`` yields the entries in
+    Storage, arithmetic and equality come from ``Array``: ``comps`` holds
+    the nonzero components only, so two tensors of one valence are equal
+    exactly when their dicts are, and ``nonzero`` yields the entries in
     row-major order.
     """
 
-    __slots__ = ("contra", "arity", "dim", "comps")
+    __slots__ = ("contra",)
 
     def __init__(self, contra: int, arity: int, dim: int, comps):
         """Build from all ``dim ** (contra + arity)`` components in row-major order."""
@@ -62,26 +62,28 @@ class Tensor:
                 f"expected {dim ** (arity + contra)} components, got {len(values)}"
             )
         self.contra = contra
-        self.arity = arity
-        self.dim = dim
+        self.shape = (dim,) * (arity + contra)
         positions = itertools.product(range(dim), repeat=arity + contra)
-        self.comps: dict[tuple[int, ...], Fraction] = {
-            idx: v for idx, v in zip(positions, values) if v
-        }
+        self.comps = {idx: v for idx, v in zip(positions, values) if v}
 
     @classmethod
     def from_dict(cls, contra: int, arity: int, dim: int, comps: dict) -> Tensor:
         """Tensor from ``{idx: Fraction}``; zero values are dropped, keys are trusted."""
-        t = cls.__new__(cls)
+        t = super().from_dict((dim,) * (arity + contra), comps)
         t.contra = contra
-        t.arity = arity
-        t.dim = dim
-        t.comps = {idx: v for idx, v in comps.items() if v}
         return t
 
     @property
+    def dim(self) -> int:
+        return self.shape[0]
+
+    @property
     def nslots(self) -> int:
-        return self.arity + self.contra
+        return len(self.shape)
+
+    @property
+    def arity(self) -> int:
+        return len(self.shape) - self.contra
 
     @classmethod
     def zeros(cls, contra: int, arity: int, dim: int) -> Tensor:
@@ -97,54 +99,11 @@ class Tensor:
             [fn(*idx) for idx in itertools.product(range(dim), repeat=arity + contra)],
         )
 
-    def __getitem__(self, idx) -> Fraction:
-        if isinstance(idx, int):
-            idx = (idx,)
-        if len(idx) != self.nslots:
-            raise ShapeError(f"expected {self.nslots} indices, got {len(idx)}")
-        return self.comps.get(tuple(idx), ZERO)
+    def _kind(self) -> tuple:
+        return "Tensor", self.contra, self.shape
 
     def _like(self, comps: dict) -> Tensor:
         return Tensor.from_dict(self.contra, self.arity, self.dim, comps)
-
-    def __add__(self, other: Tensor) -> Tensor:
-        self._match(other)
-        out = dict(self.comps)
-        for idx, v in other.comps.items():
-            out[idx] = out.get(idx, ZERO) + v
-        return self._like(out)
-
-    def __sub__(self, other: Tensor) -> Tensor:
-        self._match(other)
-        out = dict(self.comps)
-        for idx, v in other.comps.items():
-            out[idx] = out.get(idx, ZERO) - v
-        return self._like(out)
-
-    def __neg__(self) -> Tensor:
-        return self._like({idx: -v for idx, v in self.comps.items()})
-
-    def __mul__(self, scalar) -> Tensor:
-        s = as_scalar(scalar)
-        return self._like({idx: v * s for idx, v in self.comps.items()} if s else {})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return (
-            self.contra == other.contra
-            and self.arity == other.arity
-            and self.dim == other.dim
-            and self.comps == other.comps
-        )
-
-    def __hash__(self):
-        return hash((self.contra, self.arity, self.dim, frozenset(self.comps.items())))
-
-    def is_zero(self) -> bool:
-        return not self.comps
 
     def value_at(self, *vectors: Vector) -> Fraction | Vector:
         """Multilinear evaluation on argument vectors (mostly for tests)."""
@@ -157,42 +116,27 @@ class Tensor:
             out[idx[-1] if self.contra else 0] += value
         return Vector(out) if self.contra else out[0]
 
-    def nonzero(self):
-        """Yield ``(idx, value)`` for every nonzero component, 0-based, row-major."""
-        yield from sorted(self.comps.items())
-
-    def entries_1based(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Sorted nonzero components with 1-based indices, for display."""
-        return [(tuple(i + 1 for i in idx), value) for idx, value in self.nonzero()]
-
     def symmetric_in(self, a: int, b: int) -> bool:
         return self == swap_args(self, a, b)
 
     def antisymmetric_in(self, a: int, b: int) -> bool:
         return self == -swap_args(self, a, b)
 
-    def _match(self, other: Tensor) -> None:
-        if (self.contra, self.arity, self.dim) != (other.contra, other.arity, other.dim):
-            raise ShapeError("tensor valences or dimensions differ")
 
-    def __repr__(self) -> str:
-        kind = f"({self.contra},{self.arity})"
-        entries = ", ".join(
-            f"{idx}={value}" for idx, value in self.entries_1based()[:8]
-        )
-        return f"Tensor{kind}dim{self.dim}[{entries or '0'}]"
+def _contract_slot(
+    t: Tensor, pos: int, op: Matrix, axis: int, contra: int, arity: int
+) -> Tensor:
+    """Replace index ``m`` in slot ``pos`` by every ``k`` that ``op`` pairs with it.
 
-
-def _contract_slot(t: Tensor, pos: int, pairs, contra: int, arity: int) -> Tensor:
-    """Replace index ``m`` in slot ``pos`` by every ``k`` of ``pairs[m] = [(k, w)]``.
-
-    ``out[.., k, ..] = sum over m of w * t[.., m, ..]``; only the stored
-    nonzeros of ``t`` and the listed weights are multiplied.
+    ``out[.., k, ..] = sum over m of w * t[.., m, ..]`` with ``w = op[m, k]``
+    for ``axis`` 0 and ``w = op[k, m]`` for ``axis`` 1; only the stored
+    nonzeros of ``t`` and of ``op`` are multiplied.
     """
+    pairs = op.lines(axis)
     acc: dict[tuple[int, ...], Fraction] = {}
     for idx, v in t.comps.items():
         head, tail = idx[:pos], idx[pos + 1:]
-        for k, w in pairs[idx[pos]]:
+        for k, w in pairs.get(idx[pos], ()):
             key = head + (k,) + tail
             acc[key] = acc.get(key, ZERO) + w * v
     return Tensor.from_dict(contra, arity, t.dim, acc)
@@ -215,22 +159,20 @@ def tensor_from_operator(m: Matrix) -> Tensor:
     """View an endomorphism matrix as a (1,1) tensor: ``t[j, k] = (m e_j)^k``."""
     if m.rows != m.cols:
         raise ShapeError("operator must be square")
-    comps = {(j, k): a for k, row in enumerate(m.sparse_rows()) for j, a in row}
-    return Tensor.from_dict(1, 1, m.rows, comps)
+    return Tensor.from_dict(1, 1, m.rows, {(j, k): a for (k, j), a in m.comps.items()})
 
 
 def operator_from_tensor(t: Tensor) -> Matrix:
     if (t.contra, t.arity) != (1, 1):
         raise ShapeError("need a (1,1) tensor")
-    return Matrix([[t[j, k] for j in range(t.dim)] for k in range(t.dim)])
+    return Matrix.from_dict(t.shape, {(k, j): a for (j, k), a in t.comps.items()})
 
 
 def metric_tensor(g: Matrix) -> Tensor:
     """View a metric matrix as a (0,2) tensor."""
     if g.rows != g.cols:
         raise ShapeError("metric must be square")
-    comps = {(i, j): a for i, row in enumerate(g.sparse_rows()) for j, a in row}
-    return Tensor.from_dict(0, 2, g.rows, comps)
+    return Tensor.from_dict(0, 2, g.rows, g.comps)
 
 
 def covector(entries) -> Tensor:
@@ -246,7 +188,7 @@ def lower(t: Tensor, g: Matrix) -> Tensor:
     if g.rows != t.dim or g.cols != t.dim:
         raise ShapeError("metric dimension mismatch")
     # out(x.., z) = sum_m t(x..)^m g[m, z]
-    return _contract_slot(t, t.arity, g.sparse_rows(), 0, t.arity + 1)
+    return _contract_slot(t, t.arity, g, 0, 0, t.arity + 1)
 
 
 def raise_last(t: Tensor, g_inv: Matrix) -> Tensor:
@@ -255,7 +197,7 @@ def raise_last(t: Tensor, g_inv: Matrix) -> Tensor:
         raise ShapeError("raise_last needs a (0,s) tensor with s >= 2")
     _check_operator(g_inv, t.dim)
     # out(x..)^k = sum_m t(x.., m) g_inv[m, k]
-    return _contract_slot(t, t.arity - 1, g_inv.sparse_rows(), 1, t.arity - 1)
+    return _contract_slot(t, t.arity - 1, g_inv, 0, 1, t.arity - 1)
 
 
 def permute_args(t: Tensor, perm: tuple[int, ...]) -> Tensor:
@@ -282,7 +224,7 @@ def precompose(t: Tensor, op: Matrix, slot: int) -> Tensor:
         raise ShapeError(f"slot {slot} out of range for arity {t.arity}")
     _check_operator(op, t.dim)
     # out[.., i, ..] = sum_m op[m, i] t[.., m, ..]
-    return _contract_slot(t, slot, op.sparse_rows(), t.contra, t.arity)
+    return _contract_slot(t, slot, op, 0, t.contra, t.arity)
 
 
 def postcompose(t: Tensor, op: Matrix) -> Tensor:
@@ -291,7 +233,7 @@ def postcompose(t: Tensor, op: Matrix) -> Tensor:
         raise ShapeError("postcompose needs a vector-valued tensor")
     _check_operator(op, t.dim)
     # out(x..)^k = sum_m op[k, m] t(x..)^m
-    return _contract_slot(t, t.arity, op.transpose().sparse_rows(), 1, t.arity)
+    return _contract_slot(t, t.arity, op, 1, 1, t.arity)
 
 
 def contract_arg_with_vector(t: Tensor, v: Vector, slot: int) -> Tensor:
@@ -340,7 +282,7 @@ def times_vector(t: Tensor, v: Vector) -> Tensor:
         raise ShapeError("times_vector needs a (0,s) tensor")
     if len(v) != t.dim:
         raise ShapeError("dimension mismatch")
-    return _outer(t.comps, {(k,): x for k, x in enumerate(v) if x}, 1, t.arity, t.dim)
+    return _outer(t.comps, v.comps, 1, t.arity, t.dim)
 
 
 def cyclic_sum(t: Tensor) -> Tensor:

@@ -170,12 +170,34 @@ class TestCLI:
         assert run(["validate", str(p), "--lambda", "3"]) == 2
         assert run(["compute", "--example"]) == 2  # missing --tensor
         assert run(["validate", "--example", "--lambda", "zebra"]) == 2
+        assert run(["validate", "--example", "--lambda=1e3"]) == 2
 
     def test_unreadable_and_malformed_files_exit_2(self, tmp_path, capsys):
         assert run(["validate", str(tmp_path / "absent.json")]) == 2
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2")
         assert run(["validate", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b'{"dimension": ' + b"7" * 5000 + b"}"],
+        ids=["not-utf8", "int-past-digit-limit"],
+    )
+    def test_undecodable_files_exit_2(self, tmp_path, capsys, content):
+        p = tmp_path / "bad.json"
+        p.write_bytes(content)
+        assert run(["validate", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "structure file error" in err and "Traceback" not in err
+
+    def test_exponent_notation_exits_2_at_its_path(self, builtin2, tmp_path, capsys):
+        # small exponent only: large ones cost time exponential in their length
+        data = structure_to_json(builtin2)
+        data["metric"][0][0] = "1e3"
+        p = tmp_path / "exp.json"
+        p.write_text(json.dumps(data))
+        assert run(["validate", str(p)]) == 2
+        assert "structure file error: /metric/0/0" in capsys.readouterr().err
 
     def test_invalid_algebra_exits_1(self, builtin2, tmp_path, capsys):
         data = structure_to_json(builtin2)

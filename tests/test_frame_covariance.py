@@ -52,7 +52,9 @@ def elementary_product(factors) -> Matrix:
 
 
 def is_signed_permutation(m: Matrix) -> bool:
-    return all(sorted(abs(a) for a in m.row(i)) == [0] * (N - 1) + [1] for i in range(N))
+    return all(
+        sorted(abs(m[i, j]) for j in range(N)) == [0] * (N - 1) + [1] for i in range(N)
+    )
 
 
 def pull_back(t, q: Matrix):

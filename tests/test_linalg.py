@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hn3 import Matrix, Vector, signature
 from hn3.errors import ShapeError, SingularMatrixError, SymmetryError
+from hn3.tensor import covector
 
 rationals = st.builds(
     Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=6)
@@ -46,7 +47,7 @@ class TestMatrix:
 
     def test_apply_matches_columns(self):
         m = Matrix([[1, 2], [3, 4]])
-        assert m.apply(Vector.basis(2, 0)) == m.column(0)
+        assert m.apply(Vector.basis(2, 0)) == Vector([1, 3])
         assert m.apply(Vector([1, 1])) == Vector([3, 7])
 
     def test_inverse_round_trip(self):
@@ -78,19 +79,41 @@ class TestMatrix:
     @settings(max_examples=40, deadline=None)
     def test_zero_skipping_products_match_full_sums(self, rows, other, s):
         a, b = Matrix(rows), Matrix(other)
-        v = Vector(other[0])
-        assert (a @ b).entries == tuple(
-            tuple(sum(rows[i][k] * other[k][j] for k in range(3)) for j in range(3))
-            for i in range(3)
-        )
-        assert a.apply(v).entries == tuple(
-            sum(rows[i][k] * v[k] for k in range(3)) for i in range(3)
-        )
-        assert (a * s).entries == tuple(tuple(x * s for x in row) for row in rows)
-        assert (v * s).entries == tuple(x * s for x in v)
-        assert Matrix.outer(v, rows[1]).entries == tuple(
-            tuple(x * y for y in rows[1]) for x in v
-        )
+        v, w = Vector(other[0]), Vector(rows[1])
+        r = range(3)
+        pairs = [
+            (a @ b, Matrix([[sum(rows[i][k] * other[k][j] for k in r) for j in r] for i in r])),
+            (a + b, Matrix([[rows[i][j] + other[i][j] for j in r] for i in r])),
+            (a - b, Matrix([[rows[i][j] - other[i][j] for j in r] for i in r])),
+            (-a, Matrix([[-rows[i][j] for j in r] for i in r])),
+            (a.transpose(), Matrix([[rows[j][i] for j in r] for i in r])),
+            (a.apply(v), Vector([sum(rows[i][k] * other[0][k] for k in r) for i in r])),
+            (a * s, Matrix([[x * s for x in row] for row in rows])),
+            (v * s, Vector([x * s for x in other[0]])),
+            (v + w, Vector([x + y for x, y in zip(other[0], rows[1])])),
+            (v - w, Vector([x - y for x, y in zip(other[0], rows[1])])),
+            (Matrix.outer(v, w), Matrix([[x * y for y in rows[1]] for x in other[0]])),
+        ]
+        for got, full in pairs:
+            assert got == full
+            assert 0 not in got.comps.values()
+        assert a.is_symmetric() == all(rows[i][j] == rows[j][i] for i in r for j in r)
+        assert (a + a.transpose()).is_symmetric()
+
+    def test_all_zero_matrix_keeps_its_shape(self):
+        z = Matrix([[0, 0, 0], [0, 0, 0]])
+        assert z.comps == {} and z.shape == (2, 3) and (z.rows, z.cols) == (2, 3)
+        assert z == Matrix.zeros(2, 3) and z != Matrix.zeros(3, 2)
+        assert z.transpose() == Matrix.zeros(3, 2)
+        assert (z @ Matrix.zeros(3, 4)).shape == (2, 4)
+        with pytest.raises(ShapeError):
+            z + Matrix.zeros(3, 2)
+
+    def test_vector_is_not_a_one_form(self):
+        assert Vector([1, 0]) != covector([1, 0])
+        assert Vector([1, 0]) != Matrix([[1, 0]])
+        with pytest.raises(ShapeError):
+            Vector([1, 0]) + covector([1, 0])
 
     @given(square(3))
     @settings(max_examples=25, deadline=None)

@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    LAMBDAS,
     form_from_seeds,
     last_two_swap,
     zoo_assoc,

@@ -14,7 +14,7 @@ from hn3.tensor import covector
 def test_entries_nonzero_on_either_side_are_compared_row_major():
     report = Report("r")
     report.require_equal(
-        ("a", "b"), (9,), covector([0, 1, 0]), (Vector([0, 0, 2]), [0, 1, 0])
+        ("a", "b"), (9,), covector([0, 1, 0]), (Vector([0, 0, 2]), Vector([0, 1, 0]))
     )
     assert [(v.identity, v.indices, v.lhs, v.rhs) for v in report.violations] == [
         ("a", (9, 2), 1, 0),

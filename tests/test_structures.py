@@ -18,7 +18,7 @@ from hn3 import (
     validate_hn_metric,
     validate_hypercomplex_hn,
 )
-from hn3.builtin import standard_metric, standard_structures
+from hn3.builtin import standard_structures
 from hn3.errors import ValidationError
 from hn3.liealg import LieAlgebra, MetricLieAlgebra
 from hn3.structures import AlmostContactStructure, HN3Manifold

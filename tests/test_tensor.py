@@ -414,6 +414,13 @@ class TestCanonicalForm:
         assert (t + -t).is_zero()
         assert 0 not in postcompose(t, h.phi(1)).comps.values()
 
+    def test_valences_of_one_shape_do_not_mix(self):
+        g = metric_tensor(METRIC3)
+        op = tensor_from_operator(METRIC3)
+        assert g.comps == op.comps and g != op
+        with pytest.raises(ShapeError):
+            op + g
+
     def test_nonzero_count_reads_the_keys(self):
         # every key is a non-empty index tuple, so counting truthy keys, as
         # the benchmark does, counts the stored nonzeros
