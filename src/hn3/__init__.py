@@ -13,9 +13,7 @@ from .connections import (
     natural_connection,
     naturality_report,
     structure_torsion,
-    torsion_alpha1,
     torsion_alpha1_via_forms,
-    torsion_alpha23,
 )
 from .errors import (
     ExistenceError,
@@ -30,7 +28,6 @@ from .fileio import (
     load_structure,
     parse_structure,
     structure_to_json,
-    validation_reports,
 )
 from .liealg import (
     Connection,
@@ -74,6 +71,7 @@ from .structures import (
     validate_ac3,
     validate_hn_metric,
     validate_hypercomplex_hn,
+    validation_reports,
 )
 from .tensor import (
     Tensor,

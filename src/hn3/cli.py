@@ -29,7 +29,7 @@ from .errors import (
     SymmetryError,
     ValidationError,
 )
-from .fileio import dump_structure, load_structure, validation_reports
+from .fileio import dump_structure, load_structure
 from .linalg import signature
 from .nijenhuis import (
     associated_nijenhuis,
@@ -39,7 +39,7 @@ from .nijenhuis import (
     nijenhuis_tensor,
 )
 from .reporting import Report
-from .structures import HN3Manifold
+from .structures import HN3Manifold, require_valid, validation_reports
 from .tensor import cyclic_sum
 
 _TENSORS = (
@@ -115,7 +115,8 @@ def _resolve_input(args) -> HN3Manifold:
             raise _UsageError(f"bad --lambda: {exc}") from exc
     if not args.file:
         raise _UsageError("a structure file or --example is required")
-    return load_structure(args.file)
+    # validate reports every validator itself, so it loads past the gate
+    return load_structure(args.file, validate=args.command != "validate")
 
 
 def _emit(reports: list[Report], as_json: bool) -> None:
@@ -126,9 +127,14 @@ def _emit(reports: list[Report], as_json: bool) -> None:
 
 
 def _cmd_validate(h: HN3Manifold, args) -> tuple[int, list[Report]]:
-    reports = validation_reports(h)
-    code = 0 if all(r.passed for r in reports) else 1
-    return code, reports
+    """All four reports; a failure also names its first violation on stderr."""
+    code = 0
+    try:
+        require_valid(h)
+    except ValidationError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        code = 1
+    return code, list(validation_reports(h))
 
 
 def _cmd_compute(h: HN3Manifold, args) -> tuple[int, list[Report]]:

@@ -1,9 +1,9 @@
 """Natural connections with totally skew-symmetric torsion.
 
 A connection D is natural for a structure when it annihilates phi, xi,
-eta and the metric.  Requiring its torsion to be a 3-form pins D down
-uniquely, but only inside a class of structures cut out by one first
-order condition on the fundamental tensor:
+eta and the metric.  One with 3-form torsion exists only inside a class
+of structures cut out by one first order condition on the fundamental
+tensor:
 
 * first structure: the four-term reflection identity
   ``F(phi x, y, z) + F(phi y, x, z) + F(x, y, phi z) + F(y, x, phi z) = 0``;
@@ -11,16 +11,17 @@ order condition on the fundamental tensor:
   Killing Reeb vector.
 
 Inside the class the torsion has a closed form in F, and
-``D = LC + torsion/2`` after raising the last slot.  The coincidence
-check asks whether the three structure-wise connections are one and the
-same connection, which is exactly the componentwise equality of the
-three torsion forms.
+``D = LC + torsion/2`` after raising the last slot.  For the first
+structure the 3-form torsion pins D down uniquely; for the second and
+third it does not: other 3-forms give natural connections too (on the
+built-in example ``D_1`` is natural for all three structures).  The
+coincidence check compares the three closed-form connections, which is
+exactly the componentwise equality of the three torsion forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ExistenceError, SymmetryError, ValidationError
 from .liealg import Connection, connection_torsion, covariant_derivative, \
@@ -32,6 +33,7 @@ from .nijenhuis import (
     metric_lie_derivative,
     nijenhuis_tensor,
 )
+from .rational import HALF
 from .reporting import Report
 from .structures import HN3Manifold, derived
 from .tensor import (
@@ -49,8 +51,6 @@ from .tensor import (
     times_covector,
     wedge_1_2,
 )
-
-HALF = Fraction(1, 2)
 
 
 def class_condition_alpha1(h: HN3Manifold, fund: Tensor | None = None) -> bool:
@@ -86,16 +86,6 @@ def in_skew_torsion_class(h: HN3Manifold, alpha: int) -> bool:
     return class_condition_alpha23(h, alpha, fundamental_tensor(h, alpha))
 
 
-def torsion_alpha1(h: HN3Manifold, force: bool = False) -> Tensor:
-    """Torsion 3-form of the natural connection of the first structure.
-
-    ``T(x,y,z) = F(x,y,phi z) - F(y,x,phi z) - F(phi z,x,y)
-    + 2 F(x,phi y,xi) eta(z)``.  Raises unless the class condition holds;
-    ``force`` computes the raw expression anyway.
-    """
-    return structure_torsion(h, 1, force)
-
-
 def torsion_alpha1_via_forms(h: HN3Manifold) -> Tensor:
     """The same torsion assembled from exterior objects.
 
@@ -120,19 +110,12 @@ def torsion_alpha1_via_forms(h: HN3Manifold) -> Tensor:
     )
 
 
-def torsion_alpha23(h: HN3Manifold, alpha: int, force: bool = False) -> Tensor:
-    """Torsion 3-form for the Norden-type structures.
-
-    ``T = -1/2 cyclic_sum( F(x,y,phi z) - 3 eta(x) F(y,phi z,xi) )``.
-    """
-    if alpha not in (2, 3):
-        raise ValueError("this torsion applies to the second and third structures")
-    return structure_torsion(h, alpha, force)
-
-
 def structure_torsion(h: HN3Manifold, alpha: int, force: bool = False) -> Tensor:
-    """Torsion expression of one structure, computed once per manifold.
+    """Torsion 3-form of the natural connection of one structure, computed once per manifold.
 
+    First structure: ``T(x,y,z) = F(x,y,phi z) - F(y,x,phi z) - F(phi z,x,y)
+    + 2 F(x,phi y,xi) eta(z)``.  Norden-type structures 2 and 3:
+    ``T = -1/2 cyclic_sum( F(x,y,phi z) - 3 eta(x) F(y,phi z,xi) )``.
     Raises unless the class condition holds; ``force`` returns the raw
     expression anyway.
     """

@@ -12,9 +12,10 @@ A structure file is a JSON object with four keys:
   that slot.
 
 Scalars are strings ``"p/q"`` (or ``"p"``) or plain JSON integers; floats
-are rejected to keep everything exact, and so is exponent notation.  ``load_structure`` can run the
-validators on the parsed data; schema problems and mathematical
-invalidity are distinct failure kinds.
+are rejected to keep everything exact, and so is exponent notation.
+``load_structure`` gates the parsed manifold with ``structures.require_valid``,
+whose validator reports are kept on the manifold, so later gates reuse them;
+schema problems and mathematical invalidity are distinct failure kinds.
 """
 
 from __future__ import annotations
@@ -23,18 +24,11 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import StructureFileError, ValidationError
+from .errors import StructureFileError
 from .linalg import Matrix, Vector
-from .liealg import LieAlgebra, MetricLieAlgebra, validate_lie_algebra, validate_metric
+from .liealg import LieAlgebra, MetricLieAlgebra
 from .rational import as_scalar, format_scalar
-from .reporting import Report
-from .structures import (
-    EPSILONS,
-    AlmostContactStructure,
-    HN3Manifold,
-    validate_ac3,
-    validate_hn_metric,
-)
+from .structures import EPSILONS, AlmostContactStructure, HN3Manifold, require_valid
 from .tensor import covector
 
 
@@ -142,16 +136,6 @@ def parse_structure(data: dict) -> HN3Manifold:
     )
 
 
-def validation_reports(h: HN3Manifold) -> list[Report]:
-    """The three validators every structure must pass, in checking order."""
-    return [
-        validate_lie_algebra(h.mla.algebra),
-        validate_metric(h.mla),
-        validate_ac3(h),
-        validate_hn_metric(h),
-    ]
-
-
 def load_structure(path: str | Path, validate: bool = True) -> HN3Manifold:
     """Parse a structure file; with ``validate`` re-derive all its invariants."""
     try:
@@ -160,13 +144,7 @@ def load_structure(path: str | Path, validate: bool = True) -> HN3Manifold:
         raise StructureFileError(f"invalid JSON: {exc}", "/") from exc
     h = parse_structure(data)
     if validate:
-        for report in validation_reports(h):
-            if not report.passed:
-                first = report.violations[0].render()
-                raise ValidationError(
-                    f"{report.check}: {first} "
-                    f"({len(report.violations)} violations in total)"
-                )
+        require_valid(h)
     return h
 
 

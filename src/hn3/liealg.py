@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ShapeError
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, accumulate
 from .rational import HALF, ZERO, as_scalar
 from .reporting import Report
 from .tensor import Tensor, lower, metric_tensor
@@ -82,7 +82,7 @@ def validate_lie_algebra(alg: LieAlgebra) -> Report:
         for l, k, w in by_inner.get(m, ()):
             p = v * w
             for key in ((i, j, l, k), (l, i, j, k), (j, l, i, k)):
-                totals[key] = totals.get(key, ZERO) + p
+                accumulate(totals, key, p)
     for (i, j, l, k), total in sorted(totals.items()):
         report.require("jacobi", (i + 1, j + 1, l + 1, k + 1), total, ZERO)
     return report
@@ -175,37 +175,29 @@ def covariant_derivative(conn: Connection, t: Tensor) -> Tensor:
     if conn.dim != n:
         raise ShapeError("connection dimension mismatch")
     # gamma[x, y, m] grouped by the index each term meets in t: m for the
-    # argument corrections, y for the derivative of the output vector
+    # argument corrections (which enter with a minus sign, applied here
+    # once per entry), y for the derivative of the output vector
     meets_arg: dict[int, list] = {}
     meets_out: dict[int, list] = {}
     for (x, y, m), c in conn.gamma.comps.items():
-        meets_arg.setdefault(m, []).append((x, y, c))
+        meets_arg.setdefault(m, []).append((x, y, -c))
         meets_out.setdefault(y, []).append((x, m, c))
     acc: dict[tuple[int, ...], Fraction] = {}
     for idx, v in t.comps.items():
         if t.contra:
             head = idx[:-1]
             for x, k, c in meets_out.get(idx[-1], ()):
-                key = (x,) + head + (k,)
-                acc[key] = acc.get(key, ZERO) + c * v
+                accumulate(acc, (x,) + head + (k,), c * v)
         for j in range(t.arity):
             head, tail = idx[:j], idx[j + 1:]
             for x, y, c in meets_arg.get(idx[j], ()):
-                key = (x,) + head + (y,) + tail
-                acc[key] = acc.get(key, ZERO) - c * v
+                accumulate(acc, (x,) + head + (y,) + tail, c * v)
     return Tensor.from_dict(t.contra, t.arity + 1, n, acc)
 
 
 def covariant_derivative_vector(conn: Connection, v: Vector) -> Tensor:
-    """Derivative of a constant vector field, as a (1,1) tensor ``out[x, k]``."""
-    n = conn.dim
-    if len(v) != n:
-        raise ShapeError("vector dimension mismatch")
-    acc: dict[tuple[int, int], Fraction] = {}
-    for (x, m, k), c in conn.gamma.comps.items():
-        if v[m]:
-            acc[x, k] = acc.get((x, k), ZERO) + v[m] * c
-    return Tensor.from_dict(1, 1, n, acc)
+    """Derivative of a constant vector field: ``out[x, k] = sum_m v[m] gamma[x, m, k]``."""
+    return tz.contract_arg_with_vector(conn.gamma, v, 1)
 
 
 def connection_torsion(conn: Connection, alg: LieAlgebra) -> Tensor:
@@ -229,5 +221,5 @@ def lie_derivative_covector(alg: LieAlgebra, xi: Vector, eta: Tensor) -> Tensor:
     for (a, x, k), c in alg.bracket.comps.items():
         w = xi[a] * eta[k]
         if w:
-            acc[(x,)] = acc.get((x,), ZERO) - w * c
+            accumulate(acc, (x,), -w * c)
     return Tensor.from_dict(0, 1, alg.dim, acc)

@@ -22,6 +22,12 @@ from .errors import ShapeError, SingularMatrixError, SymmetryError
 from .rational import ONE, ZERO, as_scalar
 
 
+def accumulate(acc: dict, key, value) -> None:
+    """Add ``value`` into ``acc[key]``; a new key stores ``value`` itself, adding nothing."""
+    old = acc.get(key)
+    acc[key] = value if old is None else old + value
+
+
 class Array:
     """Exact array that stores only its nonzero entries.
 
@@ -64,15 +70,11 @@ class Array:
         self._match(other)
         out = dict(self.comps)
         for idx, v in other.comps.items():
-            out[idx] = out.get(idx, ZERO) + v
+            accumulate(out, idx, v)
         return self._like(out)
 
     def __sub__(self, other: Array):
-        self._match(other)
-        out = dict(self.comps)
-        for idx, v in other.comps.items():
-            out[idx] = out.get(idx, ZERO) - v
-        return self._like(out)
+        return self + -other
 
     def __neg__(self):
         return self._like({idx: -v for idx, v in self.comps.items()})
@@ -194,7 +196,7 @@ class Matrix(Array):
         acc: dict[tuple[int, int], Fraction] = {}
         for (i, j), a in self.comps.items():
             for k, b in right.get(j, ()):
-                acc[i, k] = acc.get((i, k), ZERO) + a * b
+                accumulate(acc, (i, k), a * b)
         return Matrix.from_dict((self.rows, other.cols), acc)
 
     def apply(self, v: Array) -> Vector:
@@ -205,8 +207,7 @@ class Matrix(Array):
         for (i, j), a in self.comps.items():
             w = v.comps.get((j,))
             if w:
-                key = (i,)
-                acc[key] = acc.get(key, ZERO) + a * w
+                accumulate(acc, (i,), a * w)
         return Vector.from_dict((self.rows,), acc)
 
     def transpose(self) -> Matrix:

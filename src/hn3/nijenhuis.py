@@ -18,14 +18,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ShapeError
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 from .liealg import (
     covariant_derivative,
     covariant_derivative_vector,
     lie_derivative_covector,
     lie_derivative_metric,
 )
-from .rational import ZERO
 from .reporting import Report
 from .structures import HN3Manifold, ProductExtension, derived
 from .tensor import (
@@ -33,6 +32,7 @@ from .tensor import (
     contract_arg_with_vector,
     covector_times,
     lower,
+    operator_from_tensor,
     permute_args,
     postcompose,
     precompose,
@@ -169,12 +169,7 @@ def hat_components(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor, Tensor, 
     w = contract_arg_with_vector(precompose(pb, phi, 0), xi, 1)
     t2 = times_vector(precompose(leta, phi, 0), xi)
     dxi = covariant_derivative_vector(h.mla.levi_civita, xi)
-    nabla_xi_xi = Vector(
-        [
-            sum((xi[a] * dxi[a, k] for a in range(h.dim)), ZERO)
-            for k in range(h.dim)
-        ]
-    )
+    nabla_xi_xi = operator_from_tensor(dxi).apply(xi)
     t3 = times_vector(eta, phi.apply(nabla_xi_xi)) * 2
     hat3 = w + t2 + t3
 

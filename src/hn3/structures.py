@@ -7,6 +7,11 @@ Hermitian way, the other two in the Norden (B-metric) way.  The triple
 interacts through the quaternionic-like composition laws checked by
 ``validate_ac3``.  Appending one flat time-like direction produces an
 almost hypercomplex frame with the matching Hermitian-Norden metric.
+
+Validation lives here and runs once per manifold: ``validation_reports``
+keeps the four validators' reports in the manifold's memo, and
+``require_valid`` is the one gate that refuses an invalid manifold, both
+when a file is loaded and when the product extension is built.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from functools import cached_property, wraps
 
 from .errors import ShapeError, ValidationError
 from .linalg import Matrix, Vector, signature
-from .liealg import LieAlgebra, MetricLieAlgebra
+from .liealg import LieAlgebra, MetricLieAlgebra, validate_lie_algebra, validate_metric
 from .rational import ONE, ZERO
 from .reporting import Report
 from .tensor import Tensor
@@ -103,18 +108,19 @@ class HN3Manifold:
 
 
 def derived(build: Callable) -> Callable:
-    """Make ``build(h, alpha)`` run once per manifold and structure.
+    """Make ``build(h)`` run once per manifold, or ``build(h, alpha)`` once per structure.
 
-    The result lives in the manifold's memo; a call that raises stores nothing.
+    The result lives in the manifold's memo under ``(build, *alpha)``; a call
+    that raises stores nothing.
     """
 
     @wraps(build)
-    def memoized(h: HN3Manifold, alpha: int):
-        if alpha not in (1, 2, 3):
+    def memoized(h: HN3Manifold, *alpha: int):
+        if alpha and alpha[0] not in (1, 2, 3):
             raise ValueError("structures are numbered 1, 2, 3")
-        key = (build, alpha)
+        key = (build, *alpha)
         if key not in h._memo:
-            h._memo[key] = build(h, alpha)
+            h._memo[key] = build(h, *alpha)
         return h._memo[key]
 
     return memoized
@@ -190,6 +196,28 @@ def validate_hn_metric(h: HN3Manifold) -> Report:
     return report
 
 
+@derived
+def validation_reports(h: HN3Manifold) -> tuple[Report, ...]:
+    """The four validators every structure must pass, in checking order."""
+    return (
+        validate_lie_algebra(h.mla.algebra),
+        validate_metric(h.mla),
+        validate_ac3(h),
+        validate_hn_metric(h),
+    )
+
+
+def require_valid(h: HN3Manifold) -> None:
+    """Raise ``ValidationError`` naming the first violation of the first failed validator."""
+    for report in validation_reports(h):
+        if not report.passed:
+            first = report.violations[0].render()
+            raise ValidationError(
+                f"{report.check}: {first} "
+                f"({len(report.violations)} violations in total)"
+            )
+
+
 @dataclass(frozen=True, eq=False)
 class ProductExtension:
     """The algebra extended by one flat central time-like direction.
@@ -216,13 +244,7 @@ class ProductExtension:
 def build_product(h: HN3Manifold, validate: bool = True) -> ProductExtension:
     """Extend by the flat direction; refuses an invalid base unless told not to."""
     if validate:
-        for rep in (validate_ac3(h), validate_hn_metric(h)):
-            if not rep.passed:
-                first = rep.violations[0].render()
-                raise ValidationError(
-                    f"base fails {rep.check}: {first} "
-                    f"({len(rep.violations)} violations in total)"
-                )
+        require_valid(h)
     n = h.dim
     ext_g = Matrix.from_dict((n + 1, n + 1), {**h.metric.comps, (n, n): -ONE})
     ext_bracket = Tensor.from_dict(1, 2, n + 1, h.mla.algebra.bracket.comps)

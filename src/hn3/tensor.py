@@ -26,7 +26,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .errors import ShapeError, SymmetryError
-from .linalg import Array, Matrix, Vector
+from .linalg import Array, Matrix, Vector, accumulate
 from .rational import ZERO, as_scalar
 
 _PERMS3 = (
@@ -137,8 +137,7 @@ def _contract_slot(
     for idx, v in t.comps.items():
         head, tail = idx[:pos], idx[pos + 1:]
         for k, w in pairs.get(idx[pos], ()):
-            key = head + (k,) + tail
-            acc[key] = acc.get(key, ZERO) + w * v
+            accumulate(acc, head + (k,) + tail, w * v)
     return Tensor.from_dict(contra, arity, t.dim, acc)
 
 
@@ -248,8 +247,7 @@ def contract_arg_with_vector(t: Tensor, v: Vector, slot: int) -> Tensor:
     for idx, value in t.comps.items():
         w = v[idx[slot]]
         if w:
-            key = idx[:slot] + idx[slot + 1:]
-            acc[key] = acc.get(key, ZERO) + w * value
+            accumulate(acc, idx[:slot] + idx[slot + 1:], w * value)
     return Tensor.from_dict(t.contra, t.arity - 1, t.dim, acc)
 
 

@@ -37,7 +37,6 @@ from hn3 import (
     nijenhuis_form_via_fundamental,
     signature,
     structure_torsion,
-    torsion_alpha1,
     torsion_alpha1_via_forms,
     validate_hypercomplex_hn,
     validation_reports,
@@ -171,7 +170,7 @@ def test_criterion_06_oracle_equivalences(lam_family, flat):
             assert zoo_assoc(h, 2)[1] == (
                 associated_form_via_fundamental2(h, fundamental_tensor(h, 2))
             )
-            assert torsion_alpha1(h, f1) == torsion_alpha1_via_forms(h)
+            assert structure_torsion(h, 1) == torsion_alpha1_via_forms(h)
             for alpha in (1, 2, 3):
                 d = natural_connection(h, alpha)
                 recomputed = lower(

@@ -23,9 +23,7 @@ from hn3 import (
     natural_connection,
     naturality_report,
     structure_torsion,
-    torsion_alpha1,
     torsion_alpha1_via_forms,
-    torsion_alpha23,
 )
 from hn3.errors import ExistenceError, SymmetryError
 from hn3.tensor import Tensor, is_three_form, lower
@@ -62,17 +60,17 @@ class TestClassConditions:
     def test_fail_on_broken_reflection_identity(self, solvable):
         assert not class_condition_alpha1(solvable)
         with pytest.raises(ExistenceError, match="reflection identity"):
-            torsion_alpha1(solvable)
+            structure_torsion(solvable, 1)
 
     def test_gate_the_torsion_constructors(self, solvable):
         with pytest.raises(ExistenceError):
-            torsion_alpha23(solvable, 2)
-        forced = torsion_alpha23(solvable, 2, force=True)
+            structure_torsion(solvable, 2)
+        forced = structure_torsion(solvable, 2, force=True)
         assert not forced.is_zero()
 
     def test_alpha_range_guard(self, builtin2):
         with pytest.raises(ValueError):
-            torsion_alpha23(builtin2, 1)
+            structure_torsion(builtin2, 4)
 
 
 class TestTorsionForms:
@@ -91,7 +89,7 @@ class TestTorsionForms:
 
     def test_two_routes_for_first_structure(self, lam_family, flat):
         for h in (lam_family[Fraction(2)], lam_family[Fraction(-7, 3)], flat):
-            assert torsion_alpha1(h) == torsion_alpha1_via_forms(h)
+            assert structure_torsion(h, 1) == torsion_alpha1_via_forms(h)
 
     def test_zero_on_flat(self, flat):
         for alpha in (1, 2, 3):
@@ -131,6 +129,17 @@ class TestNaturalConnections:
         d2 = natural_connection(builtin2, 2)
         report = naturality_report(d2.connection, builtin2, 1)
         assert not report.passed
+
+    @pytest.mark.parametrize("lam", [Fraction(1), Fraction(2), Fraction(-7, 3)])
+    def test_first_connection_preserves_the_whole_3_structure(self, lam, lam_family):
+        # why the module docstring says 3-form torsion pins D down for the
+        # first structure only: D_1 is natural for structures 2 and 3 too,
+        # although its torsion differs from T_2
+        h = lam_family[lam]
+        d1 = natural_connection(h, 1).connection
+        for alpha in (1, 2, 3):
+            report = naturality_report(d1, h, alpha)
+            assert report.passed, report.render()
 
     def test_non_three_form_rejected(self, builtin2):
         # the fundamental tensor has the right shape but is not totally skew

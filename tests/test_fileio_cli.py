@@ -208,6 +208,11 @@ class TestCLI:
         p.write_text(json.dumps(data))
         assert run(["validate", str(p)]) == 1
         assert "jacobi" in capsys.readouterr().err
+        # the command loads past the gate and prints every validator's report
+        assert run(["validate", str(p), "--json"]) == 1
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["status"] for r in reports] == ["fail", "pass", "pass", "pass"]
+        assert {v["identity"] for v in reports[0]["violations"]} == {"jacobi"}
 
     def test_failed_existence_exits_1(self, tmp_path, capsys):
         p = tmp_path / "solvable.json"

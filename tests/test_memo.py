@@ -1,9 +1,10 @@
 """Each derived object is computed once per manifold and freed with it.
 
 A counting memo records what a manifold stores, and counting wrappers
-around ``covariant_derivative`` (which builds F_a and d eta_a) and
+around ``covariant_derivative`` (which builds F_a and d eta_a),
 ``connection_torsion`` (the round trip that builds each natural
-connection D_a) catch any computation that bypasses the memo.
+connection D_a) and the four validators catch any computation that
+bypasses the memo.
 """
 
 from __future__ import annotations
@@ -16,19 +17,27 @@ import pytest
 
 import hn3
 from hn3 import (
+    HN3Manifold,
+    LieAlgebra,
+    MetricLieAlgebra,
+    ValidationError,
     associated_nijenhuis,
+    build_product,
     builtin_example,
     class_condition_alpha1,
     class_condition_alpha23,
     coincidence_check,
+    dump_structure,
     exterior_d_eta,
     fundamental_tensor,
+    load_structure,
     metric_lie_derivative,
     natural_connection,
     nijenhuis_tensor,
     structure_torsion,
+    validation_reports,
 )
-from hn3 import connections, nijenhuis
+from hn3 import connections, nijenhuis, structures
 from hn3.cli import run
 
 ONCE_EACH = Counter({1: 1, 2: 1, 3: 1})
@@ -47,22 +56,26 @@ class CountingMemo(dict):
         super().__setitem__(key, value)
 
 
+VALIDATORS = ("validate_lie_algebra", "validate_metric", "validate_ac3", "validate_hn_metric")
+
+
+def count_calls(monkeypatch, calls: Counter, module, name: str) -> None:
+    """Replace ``module.name`` by a wrapper that counts its calls in ``calls``."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 @pytest.fixture()
 def calls(monkeypatch):
     """Calls of covariant_derivative in nijenhuis and of connection_torsion."""
     calls = Counter()
-
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(nijenhuis, "covariant_derivative")
-    counted(connections, "connection_torsion")
+    count_calls(monkeypatch, calls, nijenhuis, "covariant_derivative")
+    count_calls(monkeypatch, calls, connections, "connection_torsion")
     return calls
 
 
@@ -108,6 +121,31 @@ def test_connection_command_builds_three_connections(calls, capsys):
     assert run(["connection", "--example", "--json"]) == 0
     assert calls["connection_torsion"] == 3
     assert calls["covariant_derivative"] == 3  # F_1, F_2, F_3
+
+
+def test_each_validator_runs_once_per_manifold(monkeypatch, tmp_path):
+    runs = Counter()
+    for name in VALIDATORS:
+        count_calls(monkeypatch, runs, structures, name)
+    path = tmp_path / "example.json"
+    dump_structure(builtin_example(2), path)
+    h = load_structure(path)
+    build_product(h)
+    assert all(r.passed for r in validation_reports(h))
+    assert runs == Counter(dict.fromkeys(VALIDATORS, 1))
+
+
+def test_product_refuses_a_base_failing_only_jacobi():
+    # [e1,e2] = e3 and [e1,e3] = e1 are antisymmetric, but the Jacobi sum
+    # on (e1, e2, e3) is e3; the other validators never read the bracket
+    bracket = {(1, 2, 3): 1, (2, 1, 3): -1, (1, 3, 1): 1, (3, 1, 1): -1}
+    base = builtin_example(2)
+    mla = MetricLieAlgebra(LieAlgebra.from_nonzero(base.dim, bracket), base.metric)
+    h = HN3Manifold(mla, base.structures)
+    failed = [r.check for r in validation_reports(h) if not r.passed]
+    assert failed == ["lie algebra axioms"]
+    with pytest.raises(ValidationError, match="jacobi"):
+        build_product(h)
 
 
 def test_memo_is_freed_with_the_manifold():

@@ -23,3 +23,30 @@ def test_every_imported_name_is_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _get_or_zero(node) -> bool:
+    """Whether ``node`` is a call ``<something>.get(<key>, ZERO)``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and len(node.args) == 2
+        and isinstance(node.args[1], ast.Name)
+        and node.args[1].id == "ZERO"
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_sums_go_through_accumulate(path):
+    # ``acc.get(key, ZERO) + v`` adds v to a zero on every new key;
+    # ``linalg.accumulate`` stores v itself instead
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    offending = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, (ast.Add, ast.Sub))
+        and (_get_or_zero(node.left) or _get_or_zero(node.right))
+    ]
+    assert offending == []
