@@ -33,7 +33,6 @@ from .fileio import dump_structure, load_structure
 from .linalg import signature
 from .nijenhuis import (
     associated_nijenhuis,
-    associated_nijenhuis_vanishes,
     fundamental_tensor,
     metric_lie_derivative,
     nijenhuis_tensor,
@@ -175,7 +174,7 @@ def _cmd_classify(h: HN3Manifold, args) -> tuple[int, list[Report]]:
         report.findings[f"structure{a}_class_condition"] = class_condition_alpha23(h, a)
     for a in (1, 2, 3):
         report.findings[f"structure{a}_associated_nijenhuis_vanishes"] = (
-            associated_nijenhuis_vanishes(h, a)
+            associated_nijenhuis(h, a)[0].is_zero()
         )
     return 0, [report]
 

@@ -27,7 +27,7 @@ from .errors import ExistenceError, SymmetryError, ValidationError
 from .liealg import Connection, connection_torsion, covariant_derivative, \
     covariant_derivative_vector
 from .nijenhuis import (
-    associated_nijenhuis_vanishes,
+    associated_nijenhuis,
     exterior_d_eta,
     fundamental_tensor,
     metric_lie_derivative,
@@ -126,12 +126,12 @@ def structure_torsion(h: HN3Manifold, alpha: int, force: bool = False) -> Tensor
             f"{which} does not admit a natural connection with totally "
             f"skew-symmetric torsion ({why} fails)"
         )
-    return _torsion(h, alpha)[0]
+    return _torsion(h, alpha)
 
 
 @derived
-def _torsion(h: HN3Manifold, alpha: int) -> tuple[Tensor, bool]:
-    """The raw torsion expression and whether it is a 3-form."""
+def _torsion(h: HN3Manifold, alpha: int) -> Tensor:
+    """The raw torsion expression, a 3-form where the class condition holds."""
     f = fundamental_tensor(h, alpha)
     phi, xi, eta = h.phi(alpha), h.xi(alpha), h.eta(alpha)
     w = contract_arg_with_vector(precompose(f, phi, 1), xi, 2)  # F(x, phi y, xi)
@@ -142,7 +142,7 @@ def _torsion(h: HN3Manifold, alpha: int) -> tuple[Tensor, bool]:
     else:
         u = precompose(f, phi, 2)
         t = cyclic_sum(u - covector_times(eta, w) * 3) * (-HALF)
-    return t, is_three_form(t)
+    return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,10 +155,7 @@ class NaturalConnection:
 
 
 def natural_connection(
-    h: HN3Manifold,
-    alpha: int,
-    torsion: Tensor | None = None,
-    force: bool = False,
+    h: HN3Manifold, alpha: int, torsion: Tensor | None = None
 ) -> NaturalConnection:
     """Build ``D = LC + torsion/2`` and re-derive the torsion as a consistency check.
 
@@ -166,21 +163,19 @@ def natural_connection(
     ``structure_torsion``, the connection is built once per manifold; any
     other torsion gets a connection of its own.
     """
-    t = structure_torsion(h, alpha, force=force) if torsion is None else torsion
-    if t is _torsion(h, alpha)[0]:
+    t = structure_torsion(h, alpha) if torsion is None else torsion
+    if t is _torsion(h, alpha):
         return _natural_connection(h, alpha)
-    return _connection_with_torsion(h, alpha, t, is_three_form(t))
+    return _connection_with_torsion(h, alpha, t)
 
 
 @derived
 def _natural_connection(h: HN3Manifold, alpha: int) -> NaturalConnection:
-    return _connection_with_torsion(h, alpha, *_torsion(h, alpha))
+    return _connection_with_torsion(h, alpha, _torsion(h, alpha))
 
 
-def _connection_with_torsion(
-    h: HN3Manifold, alpha: int, t: Tensor, is_form: bool
-) -> NaturalConnection:
-    if not is_form:
+def _connection_with_torsion(h: HN3Manifold, alpha: int, t: Tensor) -> NaturalConnection:
+    if not is_three_form(t):
         raise SymmetryError("torsion must be totally skew-symmetric")
     gamma = h.mla.levi_civita.gamma + raise_last(t, h.mla.metric_inverse) * HALF
     conn = Connection(gamma)
@@ -257,15 +252,15 @@ def coincidence_check(h: HN3Manifold, force: bool = False) -> Coincidence:
                 f"structures {missing} fail their class condition; "
                 "per-structure natural connections do not all exist"
             )
-        hats = [a for a in (1, 2, 3) if not associated_nijenhuis_vanishes(h, a)]
+        hats = [a for a in (1, 2, 3) if not associated_nijenhuis(h, a)[0].is_zero()]
         if hats:
             raise ExistenceError(
                 f"associated Nijenhuis tensor of structures {hats} does not vanish"
             )
     torsions = {a: _torsion(h, a) for a in (1, 2, 3)}
     pairs = ((1, 2), (1, 3), (2, 3))
-    torsions_equal = {(a, b): torsions[a][0] == torsions[b][0] for a, b in pairs}
-    if all(is_form for _, is_form in torsions.values()):
+    torsions_equal = {(a, b): torsions[a] == torsions[b] for a, b in pairs}
+    if all(is_three_form(t) for t in torsions.values()):
         conns = {a: _natural_connection(h, a) for a in (1, 2, 3)}
         connections_equal = {
             (a, b): conns[a].connection.gamma == conns[b].connection.gamma

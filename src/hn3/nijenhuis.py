@@ -25,6 +25,7 @@ from .liealg import (
     lie_derivative_covector,
     lie_derivative_metric,
 )
+from .rational import HALF
 from .reporting import Report
 from .structures import HN3Manifold, ProductExtension, derived
 from .tensor import (
@@ -112,19 +113,18 @@ def exterior_d_eta(h: HN3Manifold, alpha: int) -> Tensor:
     return de - permute_args(de, (1, 0))
 
 
-def _second_order_bracket(base: Tensor, phi: Matrix) -> Tensor:
-    # [phi, phi] built on any (1,2) pairing: pairing(phi., phi.)
-    # + phi^2 pairing(., .) - phi pairing(phi., .) - phi pairing(., phi.)
-    out = precompose(precompose(base, phi, 0), phi, 1)
-    out = out + postcompose(base, phi @ phi)
-    out = out - postcompose(precompose(base, phi, 0), phi)
-    out = out - postcompose(precompose(base, phi, 1), phi)
-    return out
+def _second_order_bracket(base: Tensor, a: Matrix, b: Matrix) -> Tensor:
+    # the pairing S(a, b) built on any (1,2) tensor: base(a., b.)
+    # + ab base(., .) - a (base(b., .) + base(., b.))
+    out = precompose(precompose(base, a, 0), b, 1) + postcompose(base, a @ b)
+    return out - postcompose(precompose(base, b, 0) + precompose(base, b, 1), a)
 
 
+@derived
 def nijenhuis_tensor(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
     """Nijenhuis tensor ``[phi, phi] + xi (x) d eta`` as a (1,2) and its (0,3) form."""
-    vec = _second_order_bracket(h.mla.algebra.bracket, h.phi(alpha)) + times_vector(
+    phi = h.phi(alpha)
+    vec = _second_order_bracket(h.mla.algebra.bracket, phi, phi) + times_vector(
         exterior_d_eta(h, alpha), h.xi(alpha)
     )
     return vec, lower(vec, h.metric)
@@ -132,21 +132,17 @@ def nijenhuis_tensor(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
 
 def phi_braces(h: HN3Manifold, alpha: int) -> Tensor:
     """Symmetric analogue of ``[phi, phi]`` built on the braces pairing."""
-    return _second_order_bracket(h.mla.braces, h.phi(alpha))
+    phi = h.phi(alpha)
+    return _second_order_bracket(h.mla.braces, phi, phi)
 
 
+@derived
 def associated_nijenhuis(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
     """Associated Nijenhuis tensor ``{phi, phi} - eps xi (x) L_xi g`` and its (0,3) form."""
     vec = phi_braces(h, alpha) - times_vector(
         metric_lie_derivative(h, alpha), h.xi(alpha)
     ) * h.eps(alpha)
     return vec, lower(vec, h.metric)
-
-
-@derived
-def associated_nijenhuis_vanishes(h: HN3Manifold, alpha: int) -> bool:
-    """Whether the associated Nijenhuis tensor is zero."""
-    return associated_nijenhuis(h, alpha)[0].is_zero()
 
 
 def hat_components(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
@@ -162,7 +158,7 @@ def hat_components(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor, Tensor, 
     lg = metric_lie_derivative(h, alpha)
     leta = reeb_lie_derivative_eta(h, alpha)
 
-    hat1 = pb - times_vector(lg, xi) * eps
+    hat1 = associated_nijenhuis(h, alpha)[0]
     hat2 = (precompose(lg, phi, 0) + precompose(lg, phi, 1)) * (-eps)
 
     # hat3(x) = {phi,phi}(phi x, xi) + (L_xi eta)(phi x) xi + 2 eta(x) phi(D_xi xi)
@@ -229,7 +225,7 @@ def fundamental2_via_nijenhuis(
     q = contract_arg_with_vector(
         contract_arg_with_vector(precompose(assoc_form, phi, 2), xi, 0), xi, 0
     )  # Nhat(xi, xi, phi y)
-    part2 = covector_times(eta, u + times_covector(q, eta)) * Fraction(1, 2)
+    part2 = covector_times(eta, u + times_covector(q, eta)) * HALF
     return part1 + part2
 
 
@@ -255,23 +251,12 @@ def metric_lie_derivative_via_associated2(h: HN3Manifold, assoc_form: Tensor) ->
 def braces_nijenhuis_product(p: ProductExtension, alpha: int, beta: int) -> Tensor:
     """Braces-built Nijenhuis pairing ``{J_alpha, J_beta}`` on the extension.
 
-    Stored with the symmetrized normalization: for ``alpha != beta`` the
-    result is HALF of the seven-term polarization sum, so that
-    ``alpha == beta`` reproduces the plain diagonal formula.
+    The symmetrized pairing ``(S(Ja, Jb) + S(Jb, Ja)) / 2`` of the braces,
+    so that ``alpha == beta`` gives the plain diagonal ``S(Ja, Ja)``.
     """
     b = p.mla.braces
     ja = p.j_ops[alpha - 1]
     jb = p.j_ops[beta - 1]
     if alpha == beta:
-        out = precompose(precompose(b, ja, 0), ja, 1)
-        out = out - postcompose(precompose(b, ja, 0), ja)
-        out = out - postcompose(precompose(b, ja, 1), ja)
-        return out - b
-    out = precompose(precompose(b, ja, 0), jb, 1)  # {Ja x, Jb y}
-    out = out - postcompose(precompose(b, jb, 0), ja)  # -Ja{Jb x, y}
-    out = out - postcompose(precompose(b, jb, 1), ja)  # -Ja{x, Jb y}
-    out = out + precompose(precompose(b, jb, 0), ja, 1)  # {Jb x, Ja y}
-    out = out - postcompose(precompose(b, ja, 0), jb)  # -Jb{Ja x, y}
-    out = out - postcompose(precompose(b, ja, 1), jb)  # -Jb{x, Ja y}
-    out = out + postcompose(b, ja @ jb + jb @ ja)  # +(JaJb + JbJa){x, y}
-    return out * Fraction(1, 2)
+        return _second_order_bracket(b, ja, ja)
+    return (_second_order_bracket(b, ja, jb) + _second_order_bracket(b, jb, ja)) * HALF

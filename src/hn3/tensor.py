@@ -301,10 +301,10 @@ def alternation(t: Tensor) -> Tensor:
 
 
 def is_three_form(t: Tensor) -> bool:
-    """True when all six permutation identities of total antisymmetry hold."""
+    """True when ``t`` is antisymmetric under (0 1) and (1 2), which generate S3."""
     if t.contra != 0 or t.arity != 3:
         raise ShapeError("is_three_form is defined for (0,3) tensors")
-    return all(permute_args(t, perm) * sign == t for perm, sign in _PERMS3)
+    return t.antisymmetric_in(0, 1) and t.antisymmetric_in(1, 2)
 
 
 def wedge_1_2(eta: Tensor, omega: Tensor) -> Tensor:

@@ -24,13 +24,11 @@ from functools import lru_cache
 import pytest
 
 from hn3 import (
-    associated_nijenhuis,
     braces_nijenhuis_product,
     build_product,
     builtin_example,
     flat_example,
     hat_components,
-    nijenhuis_tensor,
     validate_lie_algebra,
 )
 from hn3.builtin import DIM, standard_metric, standard_structures
@@ -123,8 +121,6 @@ def products(bracket_fixtures):
 # (manifold, alpha) pair is computed once for the whole run; tests stay
 # independent because everything here is immutable.
 
-zoo_nij = lru_cache(maxsize=None)(nijenhuis_tensor)
-zoo_assoc = lru_cache(maxsize=None)(associated_nijenhuis)
 zoo_hats = lru_cache(maxsize=None)(hat_components)
 zoo_jj = lru_cache(maxsize=None)(braces_nijenhuis_product)
 

@@ -17,14 +17,13 @@ from conftest import (
     form_from_seeds,
     last_two_swap,
     signed_perms,
-    zoo_assoc,
     zoo_hats,
     zoo_jj,
-    zoo_nij,
 )
 from hn3 import (
     associated_form_via_fundamental,
     associated_form_via_fundamental2,
+    associated_nijenhuis,
     class_condition_alpha1,
     class_condition_alpha23,
     coincidence_check,
@@ -35,6 +34,7 @@ from hn3 import (
     natural_connection,
     naturality_report,
     nijenhuis_form_via_fundamental,
+    nijenhuis_tensor,
     signature,
     structure_torsion,
     torsion_alpha1_via_forms,
@@ -159,15 +159,15 @@ def test_criterion_06_oracle_equivalences(lam_family, flat):
                       "connection"):
         for h in (*(lam_family[lam] for lam in CANONICAL), flat):
             f1 = fundamental_tensor(h, 1)
-            n_form = zoo_nij(h, 1)[1]
-            nhat_form = zoo_assoc(h, 1)[1]
+            n_form = nijenhuis_tensor(h, 1)[1]
+            nhat_form = associated_nijenhuis(h, 1)[1]
             assert n_form == nijenhuis_form_via_fundamental(h, f1)
             assert nhat_form == associated_form_via_fundamental(h, f1)
             assert metric_lie_derivative(h, 1) == metric_lie_derivative_via_fundamental(h, f1)
             assert nhat_form == (
                 permute_args(n_form, (2, 0, 1)) + permute_args(n_form, (2, 1, 0))
             )
-            assert zoo_assoc(h, 2)[1] == (
+            assert associated_nijenhuis(h, 2)[1] == (
                 associated_form_via_fundamental2(h, fundamental_tensor(h, 2))
             )
             assert structure_torsion(h, 1) == torsion_alpha1_via_forms(h)

@@ -30,7 +30,6 @@ from hn3 import (
     validation_reports,
 )
 from hn3.liealg import LieAlgebra, MetricLieAlgebra
-from hn3.nijenhuis import associated_nijenhuis_vanishes
 from hn3.structures import AlmostContactStructure, HN3Manifold
 from hn3.tensor import postcompose, precompose
 
@@ -87,7 +86,9 @@ def verdicts(h: HN3Manifold) -> dict:
     coin = coincidence_check(h)
     return {
         "class": [in_skew_torsion_class(h, a) for a in (1, 2, 3)],
-        "associated_vanishes": [associated_nijenhuis_vanishes(h, a) for a in (1, 2, 3)],
+        "associated_vanishes": [
+            associated_nijenhuis(h, a)[0].is_zero() for a in (1, 2, 3)
+        ],
         "coincidence": (coin.torsions_equal, coin.routes_agree, coin.common_exists),
         "signature": signature(h.metric),
     }

@@ -41,6 +41,7 @@ COMMANDS = (
     ("connection",),
     ("connection", "--force"),
     ("product", "--alpha", "1", "--beta", "2"),
+    ("product", "--alpha", "2"),
     ("compute", "--tensor", "F1"),
     ("compute", "--tensor", "T1"),
     ("compute", "--tensor", "Nhat2"),

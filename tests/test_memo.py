@@ -2,6 +2,7 @@
 
 A counting memo records what a manifold stores, and counting wrappers
 around ``covariant_derivative`` (which builds F_a and d eta_a),
+``phi_braces`` (which builds {phi_a, phi_a} for the associated N_a),
 ``connection_torsion`` (the round trip that builds each natural
 connection D_a) and the four validators catch any computation that
 bypasses the memo.
@@ -72,9 +73,10 @@ def count_calls(monkeypatch, calls: Counter, module, name: str) -> None:
 
 @pytest.fixture()
 def calls(monkeypatch):
-    """Calls of covariant_derivative in nijenhuis and of connection_torsion."""
+    """Calls of covariant_derivative, phi_braces and connection_torsion."""
     calls = Counter()
     count_calls(monkeypatch, calls, nijenhuis, "covariant_derivative")
+    count_calls(monkeypatch, calls, nijenhuis, "phi_braces")
     count_calls(monkeypatch, calls, connections, "connection_torsion")
     return calls
 
@@ -85,9 +87,8 @@ def counting_manifold():
     return h
 
 
-def test_pipeline_computes_each_object_once(calls):
-    h = counting_manifold()
-    # classify, as the benchmark asks it: F passed in explicitly
+def classify(h) -> None:
+    """The classify questions, as the benchmark asks them: F passed in explicitly."""
     funds = [fundamental_tensor(h, a) for a in (1, 2, 3)]
     assert class_condition_alpha1(h, funds[0])
     for a in (2, 3):
@@ -97,6 +98,11 @@ def test_pipeline_computes_each_object_once(calls):
         exterior_d_eta(h, a)
         nijenhuis_tensor(h, a)
         associated_nijenhuis(h, a)
+
+
+def test_pipeline_computes_each_object_once(calls):
+    h = counting_manifold()
+    classify(h)
     for a in (1, 2, 3):
         natural_connection(h, a, structure_torsion(h, a))
     assert calls["connection_torsion"] == 3
@@ -104,8 +110,22 @@ def test_pipeline_computes_each_object_once(calls):
     assert calls["connection_torsion"] == 3  # D_1, D_2, D_3 were reused
     assert calls["covariant_derivative"] == 6  # F_a and d eta_a, once each
     stored = h._memo.stored
-    for built in ("fundamental_tensor", "_torsion", "_natural_connection"):
+    for built in (
+        "fundamental_tensor",
+        "nijenhuis_tensor",
+        "associated_nijenhuis",
+        "_torsion",
+        "_natural_connection",
+    ):
         assert stored[built] == ONCE_EACH, built
+
+
+def test_coincidence_reuses_the_classified_associated_tensors(calls):
+    h = builtin_example(2)
+    classify(h)
+    assert calls["phi_braces"] == 3
+    coincidence_check(h)
+    assert calls["phi_braces"] == 3  # {phi_a, phi_a} once per structure
 
 
 def test_foreign_torsion_is_not_memoized(calls):

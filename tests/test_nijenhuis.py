@@ -17,16 +17,16 @@ import pytest
 from conftest import (
     form_from_seeds,
     last_two_swap,
-    zoo_assoc,
     zoo_hats,
     zoo_jj,
-    zoo_nij,
 )
 from hn3 import (
+    associated_nijenhuis,
     check_fundamental_properties,
     exterior_d_eta,
     fundamental_tensor,
     metric_lie_derivative,
+    nijenhuis_tensor,
     phi_braces,
     reeb_lie_derivative_eta,
 )
@@ -130,7 +130,7 @@ class TestNijenhuisSymmetries:
     def test_bracket_tensor_antisymmetric(self, bracket_fixtures):
         for h in bracket_fixtures.values():
             for alpha in (1, 2, 3):
-                vec, form = zoo_nij(h, alpha)
+                vec, form = nijenhuis_tensor(h, alpha)
                 assert vec.antisymmetric_in(0, 1)
                 assert form.antisymmetric_in(0, 1)
 
@@ -138,7 +138,7 @@ class TestNijenhuisSymmetries:
         for h in (solvable, discriminator):
             for alpha in (1, 2, 3):
                 assert phi_braces(h, alpha).symmetric_in(0, 1)
-                vec, form = zoo_assoc(h, alpha)
+                vec, form = associated_nijenhuis(h, alpha)
                 assert vec.symmetric_in(0, 1)
                 assert form.symmetric_in(0, 1)
 
@@ -149,8 +149,8 @@ class TestCrossExpressions:
     def test_first_structure_family(self, bracket_fixtures):
         for name, h in bracket_fixtures.items():
             f1 = fundamental_tensor(h, 1)
-            _, n_form = zoo_nij(h, 1)
-            _, nhat_form = zoo_assoc(h, 1)
+            _, n_form = nijenhuis_tensor(h, 1)
+            _, nhat_form = associated_nijenhuis(h, 1)
             assert n_form == nijenhuis_form_via_fundamental(h, f1), name
             assert nhat_form == associated_form_via_fundamental(h, f1), name
             assert metric_lie_derivative(h, 1) == metric_lie_derivative_via_fundamental(h, f1), name
@@ -158,16 +158,16 @@ class TestCrossExpressions:
     def test_symmetrized_pair_relation(self, bracket_fixtures):
         # Nhat_1(x,y,z) = N_1(z,x,y) + N_1(z,y,x)
         for name, h in bracket_fixtures.items():
-            _, n_form = zoo_nij(h, 1)
-            _, nhat_form = zoo_assoc(h, 1)
+            _, n_form = nijenhuis_tensor(h, 1)
+            _, nhat_form = associated_nijenhuis(h, 1)
             rhs = permute_args(n_form, (2, 0, 1)) + permute_args(n_form, (2, 1, 0))
             assert nhat_form == rhs, name
 
     def test_second_structure_family(self, bracket_fixtures):
         for name, h in bracket_fixtures.items():
             f2 = fundamental_tensor(h, 2)
-            _, n_form = zoo_nij(h, 2)
-            _, nhat_form = zoo_assoc(h, 2)
+            _, n_form = nijenhuis_tensor(h, 2)
+            _, nhat_form = associated_nijenhuis(h, 2)
             assert nhat_form == associated_form_via_fundamental2(h, f2), name
             assert f2 == fundamental2_via_nijenhuis(h, n_form, nhat_form), name
             assert metric_lie_derivative(h, 2) == (
@@ -184,7 +184,7 @@ class TestCrossExpressions:
             for k in range(7)
         ]
         assert any(v != 0 for v in image)
-        _, nhat_form = zoo_assoc(discriminator, 2)
+        _, nhat_form = associated_nijenhuis(discriminator, 2)
         assert metric_lie_derivative(discriminator, 2) == (
             metric_lie_derivative_via_associated2(discriminator, nhat_form)
         )
@@ -193,7 +193,7 @@ class TestCrossExpressions:
         # whenever the associated tensor vanishes the Reeb vector is Killing
         for h in lam_family.values():
             for alpha in (1, 2, 3):
-                _, nhat_form = zoo_assoc(h, alpha)
+                _, nhat_form = associated_nijenhuis(h, alpha)
                 assert nhat_form.is_zero()
                 assert metric_lie_derivative(h, alpha).is_zero()
 
@@ -212,7 +212,7 @@ class TestHatComponents:
     def test_first_is_associated_tensor(self, solvable, central_image):
         for h in (solvable, central_image):
             for alpha in (1, 2, 3):
-                vec, _ = zoo_assoc(h, alpha)
+                vec, _ = associated_nijenhuis(h, alpha)
                 assert zoo_hats(h, alpha)[0] == vec
 
     def test_nonzero_on_solvable(self, solvable):

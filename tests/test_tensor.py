@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hn3 import Matrix, Vector, builtin_example
 from hn3.errors import ShapeError, SymmetryError
@@ -59,6 +59,21 @@ def tensors(contra: int, arity: int, dim: int = 3):
 
 
 METRIC3 = Matrix.diagonal([1, -1, 1])
+
+TRANSPOSITIONS = ((0, 1), (1, 2), (0, 2))
+RAMP = Tensor.build(0, 3, 3, lambda i, j, k: Fraction(i * 9 + j * 3 + k))
+
+
+def antisymmetrized(t: Tensor, pair: tuple[int, int]) -> Tensor:
+    """``t`` made antisymmetric in one pair of slots, generically in no other."""
+    return t - swap_args(t, *pair)
+
+
+# plain draws, and draws that pass exactly one transposition check
+three_slot_tensors = st.one_of(
+    tensors(0, 3),
+    *(tensors(0, 3).map(lambda t, p=pair: antisymmetrized(t, p)) for pair in TRANSPOSITIONS),
+)
 
 
 class TestContainer:
@@ -122,7 +137,10 @@ class TestCyclicAndAlternation:
     def test_alternation_is_three_form(self, t):
         assert is_three_form(alternation(t))
 
-    @given(tensors(0, 3))
+    @given(three_slot_tensors)
+    @example(antisymmetrized(RAMP, (0, 1)))
+    @example(antisymmetrized(RAMP, (1, 2)))
+    @example(antisymmetrized(RAMP, (0, 2)))
     @settings(max_examples=20, deadline=None)
     def test_three_forms_are_alternation_fixed_points(self, t):
         a = alternation(t)
