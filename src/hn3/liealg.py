@@ -3,7 +3,9 @@
 Everything lives on a fixed frame ``e_1 .. e_n``.  Structure constants,
 the metric, and all derived tensors are constant, so covariant and Lie
 derivatives reduce to finite exact contractions; the directional terms of
-the usual formulas vanish identically and are not coded.
+the usual formulas vanish identically and are not coded.  Each of those
+contractions, and the Jacobi sums of the validator, is a call of
+``hn3.linalg.contract``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ShapeError
-from .linalg import Matrix, Vector, accumulate
+from .linalg import Matrix, Vector, contract
 from .rational import HALF, ZERO, as_scalar
 from .reporting import Report
 from .tensor import Tensor, lower, metric_tensor
@@ -71,20 +73,11 @@ def validate_lie_algebra(alg: LieAlgebra) -> Report:
     # only a tuple with a nonzero entry on either side can fail
     for i, j, k in sorted({(min(i, j), max(i, j), k) for i, j, k in c.comps}):
         report.require("antisymmetry", (i + 1, j + 1, k + 1), c[i, j, k], -c[j, i, k])
-    # Jacobi totals are sums of products of two structure constants, so
-    # only tuples touched by two nonzero entries can fail; every other
-    # total is identically zero and needs no entry in the report.
-    by_inner: dict[int, list] = {}
-    for (m, l, k), w in c.comps.items():
-        by_inner.setdefault(m, []).append((l, k, w))
-    totals: dict[tuple[int, int, int, int], Fraction] = {}
-    for (i, j, m), v in c.comps.items():
-        for l, k, w in by_inner.get(m, ()):
-            p = v * w
-            for key in ((i, j, l, k), (l, i, j, k), (j, l, i, k)):
-                accumulate(totals, key, p)
-    for (i, j, l, k), total in sorted(totals.items()):
-        report.require("jacobi", (i + 1, j + 1, l + 1, k + 1), total, ZERO)
+    # [[e_i, e_j], e_l]^k = sum_m c[i, j, m] c[m, l, k], then the cyclic
+    # sum over (i, j, l); only its nonzero totals can fail
+    nested = Tensor.from_dict(1, 3, alg.dim, contract({}, c, 2, c.lines(0)))
+    jacobi = nested + tz.permute_args(nested, (1, 2, 0)) + tz.permute_args(nested, (2, 0, 1))
+    report.require_equal("jacobi", (), jacobi, Tensor.zeros(1, 3, alg.dim))
     return report
 
 
@@ -174,24 +167,15 @@ def covariant_derivative(conn: Connection, t: Tensor) -> Tensor:
     n = t.dim
     if conn.dim != n:
         raise ShapeError("connection dimension mismatch")
-    # gamma[x, y, m] grouped by the index each term meets in t: m for the
-    # argument corrections (which enter with a minus sign, applied here
-    # once per entry), y for the derivative of the output vector
-    meets_arg: dict[int, list] = {}
-    meets_out: dict[int, list] = {}
-    for (x, y, m), c in conn.gamma.comps.items():
-        meets_arg.setdefault(m, []).append((x, y, -c))
-        meets_out.setdefault(y, []).append((x, m, c))
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for idx, v in t.comps.items():
-        if t.contra:
-            head = idx[:-1]
-            for x, k, c in meets_out.get(idx[-1], ()):
-                accumulate(acc, (x,) + head + (k,), c * v)
-        for j in range(t.arity):
-            head, tail = idx[:j], idx[j + 1:]
-            for x, y, c in meets_arg.get(idx[j], ()):
-                accumulate(acc, (x,) + head + (y,) + tail, c * v)
+    # gamma[x, y, m] meets t at m in every argument correction (with a
+    # minus sign) and at y in the derivative of the output vector; the
+    # direction x is the prefix of every term, so one sum holds them all
+    acc: dict = {}
+    if t.contra:
+        contract(acc, t, t.arity, conn.gamma.lines(1, prefix=1))
+    corrections = (-conn.gamma).lines(2, prefix=1)
+    for j in range(t.arity):
+        contract(acc, t, j, corrections)
     return Tensor.from_dict(t.contra, t.arity + 1, n, acc)
 
 
@@ -217,9 +201,6 @@ def lie_derivative_covector(alg: LieAlgebra, xi: Vector, eta: Tensor) -> Tensor:
     """Lie derivative of a constant one-form: ``(L_xi eta)(x) = -eta([xi, x])``."""
     if eta.contra != 0 or eta.arity != 1:
         raise ShapeError("need a one-form")
-    acc: dict[tuple[int], Fraction] = {}
-    for (a, x, k), c in alg.bracket.comps.items():
-        w = xi[a] * eta[k]
-        if w:
-            accumulate(acc, (x,), -w * c)
-    return Tensor.from_dict(0, 1, alg.dim, acc)
+    eta_bracket = contract({}, alg.bracket, 2, eta.lines(0))  # eta([e_a, e_x])
+    inner = Matrix.from_dict((alg.dim, alg.dim), eta_bracket)
+    return Tensor.from_dict(0, 1, alg.dim, contract({}, inner, 0, (-xi).lines(0)))

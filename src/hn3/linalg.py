@@ -4,7 +4,11 @@ Vectors, matrices and the tensors of ``hn3.tensor`` share one storage,
 ``Array``: only the nonzero entries are kept, in ``comps``, a dict from
 0-based index tuples to Fractions, next to the array's ``shape``.  The
 entrywise arithmetic, equality and hashing are written once, on that
-dict, and every product multiplies stored nonzeros only.
+dict.  Every product of two arrays in the package runs in one of two
+places here, and multiplies their stored nonzeros only: ``contract``,
+which sums over one shared index (matrix products, slot contractions,
+covariant derivatives, Jacobi sums), and ``outer``, the tensor product
+with no summed index.
 
 Matrices act on column vectors, so column ``j`` of an operator holds the
 image of the ``j``-th basis vector; entry ``(i, j)`` is keyed ``(i, j)``.
@@ -26,6 +30,26 @@ def accumulate(acc: dict, key, value) -> None:
     """Add ``value`` into ``acc[key]``; a new key stores ``value`` itself, adding nothing."""
     old = acc.get(key)
     acc[key] = value if old is None else old + value
+
+
+def contract(acc: dict, t: Array, pos: int, lines: dict) -> dict:
+    """Sum over the index in slot ``pos`` of ``t`` against grouped entries.
+
+    Each stored ``t[head, m, tail]`` meets every ``(prefix, infix, w)`` in
+    ``lines[m]`` (as ``Array.lines`` groups them) and adds ``w * t[..]``
+    at ``prefix + head + infix + tail`` in ``acc``, which is returned.
+    Only stored nonzeros on both sides are multiplied.
+    """
+    for idx, v in t.comps.items():
+        head, tail = idx[:pos], idx[pos + 1:]
+        for prefix, infix, w in lines.get(idx[pos], ()):
+            accumulate(acc, prefix + head + infix + tail, w * v)
+    return acc
+
+
+def outer(left: Array, right: Array) -> dict:
+    """Components of the tensor product: ``left[i] * right[j]`` at ``i + j``."""
+    return {i + j: a * b for i, a in left.comps.items() for j, b in right.comps.items()}
 
 
 class Array:
@@ -95,6 +119,19 @@ class Array:
 
     def is_zero(self) -> bool:
         return not self.comps
+
+    def lines(self, axis: int, prefix: int = 0) -> dict[int, list]:
+        """Nonzeros grouped by their index on ``axis``, ready for ``contract``.
+
+        Each group ``m`` lists ``(prefix, infix, value)`` for the entries
+        with index ``m`` on ``axis``: the other indices in order, the first
+        ``prefix`` (at most ``axis``) of them split off.
+        """
+        out: dict[int, list] = {}
+        for idx, a in self.comps.items():
+            infix = idx[prefix:axis] + idx[axis + 1:]
+            out.setdefault(idx[axis], []).append((idx[:prefix], infix, a))
+        return out
 
     def nonzero(self):
         """Yield ``(idx, value)`` for every nonzero entry, 0-based, row-major."""
@@ -177,38 +214,18 @@ class Matrix(Array):
     @classmethod
     def outer(cls, u: Array, w: Array) -> Matrix:
         """Rank-one ``u wᵀ`` of two vectors or one-forms; entry (i, j) is ``u[i]·w[j]``."""
-        return cls.from_dict(
-            (u.shape[0], w.shape[0]),
-            {(i, j): a * b for (i,), a in u.comps.items() for (j,), b in w.comps.items()},
-        )
-
-    def lines(self, axis: int = 0) -> dict[int, list[tuple[int, Fraction]]]:
-        """Nonzeros grouped by row (``axis`` 0) or by column (1): ``{m: [(k, entry)]}``."""
-        out: dict[int, list[tuple[int, Fraction]]] = {}
-        for idx, a in self.comps.items():
-            out.setdefault(idx[axis], []).append((idx[1 - axis], a))
-        return out
+        return cls.from_dict((u.shape[0], w.shape[0]), outer(u, w))
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        right = other.lines()
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i, j), a in self.comps.items():
-            for k, b in right.get(j, ()):
-                accumulate(acc, (i, k), a * b)
-        return Matrix.from_dict((self.rows, other.cols), acc)
+        return Matrix.from_dict((self.rows, other.cols), contract({}, self, 1, other.lines(0)))
 
     def apply(self, v: Array) -> Vector:
         """``self v`` for a vector, or the components of a one-form, of length ``cols``."""
         if v.shape != (self.cols,):
             raise ShapeError(f"cannot apply {self.shape} to an array of shape {v.shape}")
-        acc: dict[tuple[int], Fraction] = {}
-        for (i, j), a in self.comps.items():
-            w = v.comps.get((j,))
-            if w:
-                accumulate(acc, (i,), a * w)
-        return Vector.from_dict((self.rows,), acc)
+        return Vector.from_dict((self.rows,), contract({}, self, 1, v.lines(0)))
 
     def transpose(self) -> Matrix:
         return Matrix.from_dict(

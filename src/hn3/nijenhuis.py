@@ -113,18 +113,25 @@ def exterior_d_eta(h: HN3Manifold, alpha: int) -> Tensor:
     return de - permute_args(de, (1, 0))
 
 
-def _second_order_bracket(base: Tensor, a: Matrix, b: Matrix) -> Tensor:
+def _second_order_bracket(base: Tensor, a: Matrix, b: Matrix | None = None) -> Tensor:
     # the pairing S(a, b) built on any (1,2) tensor: base(a., b.)
-    # + ab base(., .) - a (base(b., .) + base(., b.))
-    out = precompose(precompose(base, a, 0), b, 1) + postcompose(base, a @ b)
-    return out - postcompose(precompose(base, b, 0) + precompose(base, b, 1), a)
+    # + ab base(., .) - a (base(b., .) + base(., b.)); S(a, a) when b is
+    # omitted, else (S(a, b) + S(b, a)) / 2, each precomposition built once
+    pa = precompose(base, a, 0)
+    sa = pa + precompose(base, a, 1)
+    if b is None:
+        return precompose(pa, a, 1) + postcompose(base, a @ a) - postcompose(sa, a)
+    pb = precompose(base, b, 0)
+    sb = pb + precompose(base, b, 1)
+    out = precompose(pa, b, 1) + precompose(pb, a, 1) + postcompose(base, a @ b + b @ a)
+    return (out - postcompose(sb, a) - postcompose(sa, b)) * HALF
 
 
 @derived
 def nijenhuis_tensor(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
     """Nijenhuis tensor ``[phi, phi] + xi (x) d eta`` as a (1,2) and its (0,3) form."""
     phi = h.phi(alpha)
-    vec = _second_order_bracket(h.mla.algebra.bracket, phi, phi) + times_vector(
+    vec = _second_order_bracket(h.mla.algebra.bracket, phi) + times_vector(
         exterior_d_eta(h, alpha), h.xi(alpha)
     )
     return vec, lower(vec, h.metric)
@@ -132,8 +139,7 @@ def nijenhuis_tensor(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
 
 def phi_braces(h: HN3Manifold, alpha: int) -> Tensor:
     """Symmetric analogue of ``[phi, phi]`` built on the braces pairing."""
-    phi = h.phi(alpha)
-    return _second_order_bracket(h.mla.braces, phi, phi)
+    return _second_order_bracket(h.mla.braces, h.phi(alpha))
 
 
 @derived
@@ -154,11 +160,11 @@ def hat_components(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor, Tensor, 
     Killing defect of the Reeb vector.
     """
     phi, xi, eta, eps = h.phi(alpha), h.xi(alpha), h.eta(alpha), h.eps(alpha)
-    pb = phi_braces(h, alpha)
     lg = metric_lie_derivative(h, alpha)
     leta = reeb_lie_derivative_eta(h, alpha)
 
     hat1 = associated_nijenhuis(h, alpha)[0]
+    pb = hat1 + times_vector(lg, xi) * eps  # {phi, phi} = Nhat + eps xi (x) L_xi g
     hat2 = (precompose(lg, phi, 0) + precompose(lg, phi, 1)) * (-eps)
 
     # hat3(x) = {phi,phi}(phi x, xi) + (L_xi eta)(phi x) xi + 2 eta(x) phi(D_xi xi)
@@ -254,9 +260,5 @@ def braces_nijenhuis_product(p: ProductExtension, alpha: int, beta: int) -> Tens
     The symmetrized pairing ``(S(Ja, Jb) + S(Jb, Ja)) / 2`` of the braces,
     so that ``alpha == beta`` gives the plain diagonal ``S(Ja, Ja)``.
     """
-    b = p.mla.braces
-    ja = p.j_ops[alpha - 1]
-    jb = p.j_ops[beta - 1]
-    if alpha == beta:
-        return _second_order_bracket(b, ja, ja)
-    return (_second_order_bracket(b, ja, jb) + _second_order_bracket(b, jb, ja)) * HALF
+    jb = None if alpha == beta else p.j_ops[beta - 1]
+    return _second_order_bracket(p.mla.braces, p.j_ops[alpha - 1], jb)

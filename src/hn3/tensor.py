@@ -7,7 +7,9 @@ Conventions
   argument slots.  Only its nonzero components are stored, keyed by index
   tuples with the argument slots first; a vector valued tensor keeps its
   output index LAST, so ``t[i, j, k]`` reads "the k-th component of
-  t(e_i, e_j)".  Every kernel below multiplies stored nonzeros only.
+  t(e_i, e_j)".  Every contraction below is one call of
+  ``hn3.linalg.contract`` and every tensor product one of
+  ``hn3.linalg.outer``, so only stored nonzeros are ever multiplied.
 * ``lower`` contracts the output index with the metric into a NEW LAST
   argument slot: ``lower(t, g)(x.., z) = g(t(x..), e_z)``.
 * ``interior`` contracts a vector into the FIRST argument slot.
@@ -26,7 +28,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .errors import ShapeError, SymmetryError
-from .linalg import Array, Matrix, Vector, accumulate
+from .linalg import Array, Matrix, Vector, contract, outer
 from .rational import ZERO, as_scalar
 
 _PERMS3 = (
@@ -123,32 +125,6 @@ class Tensor(Array):
         return self == -swap_args(self, a, b)
 
 
-def _contract_slot(
-    t: Tensor, pos: int, op: Matrix, axis: int, contra: int, arity: int
-) -> Tensor:
-    """Replace index ``m`` in slot ``pos`` by every ``k`` that ``op`` pairs with it.
-
-    ``out[.., k, ..] = sum over m of w * t[.., m, ..]`` with ``w = op[m, k]``
-    for ``axis`` 0 and ``w = op[k, m]`` for ``axis`` 1; only the stored
-    nonzeros of ``t`` and of ``op`` are multiplied.
-    """
-    pairs = op.lines(axis)
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for idx, v in t.comps.items():
-        head, tail = idx[:pos], idx[pos + 1:]
-        for k, w in pairs.get(idx[pos], ()):
-            accumulate(acc, head + (k,) + tail, w * v)
-    return Tensor.from_dict(contra, arity, t.dim, acc)
-
-
-def _outer(left: dict, right: dict, contra: int, arity: int, dim: int) -> Tensor:
-    """Tensor product of two component dicts, index tuples concatenated."""
-    return Tensor.from_dict(
-        contra, arity, dim,
-        {i + j: a * b for i, a in left.items() for j, b in right.items()},
-    )
-
-
 def _check_operator(op: Matrix, dim: int) -> None:
     if op.rows != dim or op.cols != dim:
         raise ShapeError("operator dimension mismatch")
@@ -187,7 +163,7 @@ def lower(t: Tensor, g: Matrix) -> Tensor:
     if g.rows != t.dim or g.cols != t.dim:
         raise ShapeError("metric dimension mismatch")
     # out(x.., z) = sum_m t(x..)^m g[m, z]
-    return _contract_slot(t, t.arity, g, 0, 0, t.arity + 1)
+    return Tensor.from_dict(0, t.arity + 1, t.dim, contract({}, t, t.arity, g.lines(0)))
 
 
 def raise_last(t: Tensor, g_inv: Matrix) -> Tensor:
@@ -196,7 +172,7 @@ def raise_last(t: Tensor, g_inv: Matrix) -> Tensor:
         raise ShapeError("raise_last needs a (0,s) tensor with s >= 2")
     _check_operator(g_inv, t.dim)
     # out(x..)^k = sum_m t(x.., m) g_inv[m, k]
-    return _contract_slot(t, t.arity - 1, g_inv, 0, 1, t.arity - 1)
+    return Tensor.from_dict(1, t.arity - 1, t.dim, contract({}, t, t.arity - 1, g_inv.lines(0)))
 
 
 def permute_args(t: Tensor, perm: tuple[int, ...]) -> Tensor:
@@ -223,7 +199,7 @@ def precompose(t: Tensor, op: Matrix, slot: int) -> Tensor:
         raise ShapeError(f"slot {slot} out of range for arity {t.arity}")
     _check_operator(op, t.dim)
     # out[.., i, ..] = sum_m op[m, i] t[.., m, ..]
-    return _contract_slot(t, slot, op, 0, t.contra, t.arity)
+    return t._like(contract({}, t, slot, op.lines(0)))
 
 
 def postcompose(t: Tensor, op: Matrix) -> Tensor:
@@ -232,7 +208,7 @@ def postcompose(t: Tensor, op: Matrix) -> Tensor:
         raise ShapeError("postcompose needs a vector-valued tensor")
     _check_operator(op, t.dim)
     # out(x..)^k = sum_m op[k, m] t(x..)^m
-    return _contract_slot(t, t.arity, op, 1, 1, t.arity)
+    return t._like(contract({}, t, t.arity, op.lines(1)))
 
 
 def contract_arg_with_vector(t: Tensor, v: Vector, slot: int) -> Tensor:
@@ -243,12 +219,7 @@ def contract_arg_with_vector(t: Tensor, v: Vector, slot: int) -> Tensor:
         raise ShapeError("vector dimension mismatch")
     if t.arity == 1 and t.contra == 0:
         raise ShapeError("contraction would leave no slots")
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for idx, value in t.comps.items():
-        w = v[idx[slot]]
-        if w:
-            accumulate(acc, idx[:slot] + idx[slot + 1:], w * value)
-    return Tensor.from_dict(t.contra, t.arity - 1, t.dim, acc)
+    return Tensor.from_dict(t.contra, t.arity - 1, t.dim, contract({}, t, slot, v.lines(0)))
 
 
 def interior(v: Vector, t: Tensor) -> Tensor:
@@ -262,7 +233,7 @@ def times_covector(t: Tensor, eta: Tensor) -> Tensor:
         raise ShapeError("times_covector combines a (0,s) tensor with a one-form")
     if eta.dim != t.dim:
         raise ShapeError("dimension mismatch")
-    return _outer(t.comps, eta.comps, 0, t.arity + 1, t.dim)
+    return Tensor.from_dict(0, t.arity + 1, t.dim, outer(t, eta))
 
 
 def covector_times(eta: Tensor, t: Tensor) -> Tensor:
@@ -271,7 +242,7 @@ def covector_times(eta: Tensor, t: Tensor) -> Tensor:
         raise ShapeError("covector_times combines a one-form with a (0,s) tensor")
     if eta.dim != t.dim:
         raise ShapeError("dimension mismatch")
-    return _outer(eta.comps, t.comps, 0, t.arity + 1, t.dim)
+    return Tensor.from_dict(0, t.arity + 1, t.dim, outer(eta, t))
 
 
 def times_vector(t: Tensor, v: Vector) -> Tensor:
@@ -280,7 +251,7 @@ def times_vector(t: Tensor, v: Vector) -> Tensor:
         raise ShapeError("times_vector needs a (0,s) tensor")
     if len(v) != t.dim:
         raise ShapeError("dimension mismatch")
-    return _outer(t.comps, v.comps, 1, t.arity, t.dim)
+    return Tensor.from_dict(1, t.arity, t.dim, outer(t, v))
 
 
 def cyclic_sum(t: Tensor) -> Tensor:

@@ -8,9 +8,11 @@ structure-constant expressions.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     CENTRAL_IMAGE_BRACKETS,
@@ -43,6 +45,36 @@ from hn3.tensor import (
 )
 
 
+@st.composite
+def sparse_brackets(draw):
+    """A few 0-based structure constants, antisymmetrized or not."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    index = st.integers(min_value=0, max_value=n - 1)
+    value = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
+    entries = draw(st.dictionaries(st.tuples(index, index, index), value, max_size=6))
+    if draw(st.booleans()):
+        entries = {
+            key: v for (i, j, k), v in entries.items() if i != j
+            for key, v in (((i, j, k), v), ((j, i, k), -v))
+        }
+    return n, entries
+
+
+def dense_jacobi(n: int, c: dict) -> list:
+    """Every nonzero cyclic sum of [[e_i, e_j], e_l]^k, by a plain loop."""
+    out = []
+    for i, j, l, k in itertools.product(range(n), repeat=4):
+        total = sum(
+            c.get((i, j, m), 0) * c.get((m, l, k), 0)
+            + c.get((j, l, m), 0) * c.get((m, i, k), 0)
+            + c.get((l, i, m), 0) * c.get((m, j, k), 0)
+            for m in range(n)
+        )
+        if total:
+            out.append(((i + 1, j + 1, l + 1, k + 1), total))
+    return out
+
+
 class TestValidation:
     def test_abelian_passes(self):
         assert validate_lie_algebra(LieAlgebra.abelian(4)).passed
@@ -69,6 +101,16 @@ class TestValidation:
         report = validate_lie_algebra(alg)
         assert not report.passed
         assert any(v.identity == "jacobi" for v in report.violations)
+
+    @given(sparse_brackets())
+    @settings(max_examples=60, deadline=None)
+    def test_jacobi_violations_match_dense_loop(self, drawn):
+        n, entries = drawn
+        one_based = {tuple(i + 1 for i in key): v for key, v in entries.items()}
+        alg = LieAlgebra.from_nonzero(n, one_based)
+        found = [v for v in validate_lie_algebra(alg).violations if v.identity == "jacobi"]
+        assert all(v.rhs == 0 for v in found)
+        assert [(v.indices, v.lhs) for v in found] == dense_jacobi(n, entries)
 
     def test_metric_validation(self):
         g = standard_metric()

@@ -2,7 +2,8 @@
 
 A counting memo records what a manifold stores, and counting wrappers
 around ``covariant_derivative`` (which builds F_a and d eta_a),
-``phi_braces`` (which builds {phi_a, phi_a} for the associated N_a),
+``phi_braces`` (which builds {phi_a, phi_a} for the associated N_a, and
+nowhere else),
 ``connection_torsion`` (the round trip that builds each natural
 connection D_a) and the four validators catch any computation that
 bypasses the memo.
@@ -31,6 +32,7 @@ from hn3 import (
     dump_structure,
     exterior_d_eta,
     fundamental_tensor,
+    hat_components,
     load_structure,
     metric_lie_derivative,
     natural_connection,
@@ -41,19 +43,22 @@ from hn3 import (
 from hn3 import connections, nijenhuis, structures
 from hn3.cli import run
 
-ONCE_EACH = Counter({1: 1, 2: 1, 3: 1})
+ONCE_EACH = Counter({(1,): 1, (2,): 1, (3,): 1})
 
 
 class CountingMemo(dict):
-    """A manifold memo that counts what it stores, per builder and structure."""
+    """A manifold memo that counts what it stores, per builder and structure.
+
+    Keys are ``(build, *alpha)``; an alpha-free builder counts under ``()``.
+    """
 
     def __init__(self):
         super().__init__()
         self.stored: dict[str, Counter] = {}
 
     def __setitem__(self, key, value):
-        build, alpha = key
-        self.stored.setdefault(build.__name__, Counter())[alpha] += 1
+        build, *alpha = key
+        self.stored.setdefault(build.__name__, Counter())[tuple(alpha)] += 1
         super().__setitem__(key, value)
 
 
@@ -128,6 +133,17 @@ def test_coincidence_reuses_the_classified_associated_tensors(calls):
     assert calls["phi_braces"] == 3  # {phi_a, phi_a} once per structure
 
 
+def test_hat_components_reuse_the_associated_tensors(calls):
+    h = counting_manifold()
+    for a in (1, 2, 3):
+        associated_nijenhuis(h, a)
+    stored = {name: Counter(c) for name, c in h._memo.stored.items()}
+    for a in (1, 2, 3):
+        hat_components(h, a)
+    assert calls["phi_braces"] == 3  # {phi_a, phi_a} once per structure
+    assert h._memo.stored == stored  # and nothing new kept on the manifold
+
+
 def test_foreign_torsion_is_not_memoized(calls):
     h = builtin_example(2)
     own = natural_connection(h, 1)
@@ -149,10 +165,19 @@ def test_each_validator_runs_once_per_manifold(monkeypatch, tmp_path):
         count_calls(monkeypatch, runs, structures, name)
     path = tmp_path / "example.json"
     dump_structure(builtin_example(2), path)
+    # every manifold built from here on, the loaded one included, counts its memo
+    post_init = HN3Manifold.__post_init__
+
+    def counting_post_init(self):
+        post_init(self)
+        object.__setattr__(self, "_memo", CountingMemo())
+
+    monkeypatch.setattr(HN3Manifold, "__post_init__", counting_post_init)
     h = load_structure(path)
     build_product(h)
     assert all(r.passed for r in validation_reports(h))
     assert runs == Counter(dict.fromkeys(VALIDATORS, 1))
+    assert h._memo.stored["validation_reports"] == Counter({(): 1})
 
 
 def test_product_refuses_a_base_failing_only_jacobi():

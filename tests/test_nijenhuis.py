@@ -22,6 +22,7 @@ from conftest import (
 )
 from hn3 import (
     associated_nijenhuis,
+    braces_nijenhuis_product,
     check_fundamental_properties,
     exterior_d_eta,
     fundamental_tensor,
@@ -30,6 +31,7 @@ from hn3 import (
     phi_braces,
     reeb_lie_derivative_eta,
 )
+from hn3 import tensor
 from hn3.nijenhuis import (
     associated_form_via_fundamental,
     associated_form_via_fundamental2,
@@ -256,3 +258,22 @@ class TestProductPairings:
 
     def test_mixed_pairings_not_identically_zero(self, products):
         assert not zoo_jj(products["solvable"], 1, 2).is_zero()
+
+    def test_each_slot_contraction_runs_once(self, products, monkeypatch):
+        # S(J1, J1) needs 5 slot contractions of the braces and the
+        # symmetrized (S(J1, J2) + S(J2, J1)) / 2 needs 9: no
+        # precomposition is built twice
+        p = products["solvable"]
+        p.mla.braces  # built before counting
+        kernel = tensor.contract
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(tensor, "contract", counting)
+        for (alpha, beta), expected in (((1, 1), 5), ((1, 2), 9), ((3, 2), 9)):
+            calls.clear()
+            braces_nijenhuis_product(p, alpha, beta)
+            assert len(calls) == expected, (alpha, beta)

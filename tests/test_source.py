@@ -50,3 +50,18 @@ def test_sums_go_through_accumulate(path):
         and (_get_or_zero(node.left) or _get_or_zero(node.right))
     ]
     assert offending == []
+
+
+def test_only_linalg_accumulates():
+    # every product of stored nonzeros runs in ``linalg.contract`` or
+    # ``linalg.outer``; a multiply-accumulate loop elsewhere would need
+    # ``accumulate``
+    users = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == "accumulate")
+        or (isinstance(node, ast.Attribute) and node.attr == "accumulate")
+        or (isinstance(node, ast.alias) and node.name == "accumulate")
+    }
+    assert users == {"linalg.py"}
