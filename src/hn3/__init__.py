@@ -78,7 +78,6 @@ from .tensor import (
     alternation,
     covector,
     cyclic_sum,
-    interior,
     is_three_form,
     lower,
     metric_tensor,

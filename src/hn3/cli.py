@@ -67,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "write negative values as --lambda=-p/q",
     )
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
+    forceable = argparse.ArgumentParser(add_help=False)
+    forceable.add_argument(
         "--force", action="store_true",
         help="compute past failed existence preconditions (output not certified)",
     )
@@ -79,14 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", parents=[common], help="run all structure validators")
-    p_compute = sub.add_parser("compute", parents=[common], help="print one tensor")
+    p_compute = sub.add_parser("compute", parents=[common, forceable], help="print one tensor")
     p_compute.add_argument("--tensor", choices=_TENSORS, required=True)
     sub.add_parser(
         "classify", parents=[common],
         help="evaluate the skew-torsion admissibility conditions",
     )
     sub.add_parser(
-        "connection", parents=[common],
+        "connection", parents=[common, forceable],
         help="build the three natural connections and compare them",
     )
     p_product = sub.add_parser(
@@ -246,7 +247,10 @@ def _cmd_example(h: HN3Manifold, args) -> tuple[int, list[Report]]:
     report.findings["metric_signature"] = "({},{},{})".format(*signature(h.metric))
     report.attach_tensor("brackets", h.mla.algebra.bracket)
     if args.emit:
-        dump_structure(h, Path(args.emit))
+        try:
+            dump_structure(h, Path(args.emit))
+        except OSError as exc:
+            raise _UsageError(f"cannot write structure file: {exc}") from exc
         report.findings["written"] = str(args.emit)
     return 0, [report]
 

@@ -33,22 +33,21 @@ from .nijenhuis import (
     metric_lie_derivative,
     nijenhuis_tensor,
 )
-from .rational import HALF
+from .rational import HALF, MINUS_HALF
 from .reporting import Report
 from .structures import HN3Manifold, derived
 from .tensor import (
     Tensor,
     contract_arg_with_vector,
-    covector_times,
     cyclic_sum,
-    interior,
     is_three_form,
     lower,
+    metric_tensor,
     permute_args,
     precompose,
     raise_last,
     tensor_from_operator,
-    times_covector,
+    tensor_product,
     wedge_1_2,
 )
 
@@ -106,7 +105,7 @@ def torsion_alpha1_via_forms(h: HN3Manifold) -> Tensor:
         -wedge_1_2(eta, deta)
         + d_phi_phi
         + n_form
-        - wedge_1_2(eta, interior(xi, n_form))
+        - wedge_1_2(eta, contract_arg_with_vector(n_form, xi, 0))
     )
 
 
@@ -135,14 +134,11 @@ def _torsion(h: HN3Manifold, alpha: int) -> Tensor:
     f = fundamental_tensor(h, alpha)
     phi, xi, eta = h.phi(alpha), h.xi(alpha), h.eta(alpha)
     w = contract_arg_with_vector(precompose(f, phi, 1), xi, 2)  # F(x, phi y, xi)
+    b = precompose(f, phi, 2)  # F(x, y, phi z)
     if alpha == 1:
-        b = precompose(f, phi, 2)
         c = permute_args(precompose(f, phi, 0), (2, 0, 1))  # F(phi z, x, y)
-        t = b - permute_args(b, (1, 0, 2)) - c + times_covector(w, eta) * 2
-    else:
-        u = precompose(f, phi, 2)
-        t = cyclic_sum(u - covector_times(eta, w) * 3) * (-HALF)
-    return t
+        return b - permute_args(b, (1, 0, 2)) - c + tensor_product(w, eta) * 2
+    return cyclic_sum(b - tensor_product(eta, w) * 3) * MINUS_HALF
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +187,7 @@ def naturality_report(conn: Connection, h: HN3Manifold, alpha: int) -> Report:
     dphi = covariant_derivative(conn, tensor_from_operator(h.phi(alpha)))
     dxi = covariant_derivative_vector(conn, h.xi(alpha))
     deta = covariant_derivative(conn, h.eta(alpha))
-    dg = covariant_derivative(conn, h.mla.metric_as_tensor)
+    dg = covariant_derivative(conn, metric_tensor(h.metric))
     for name, t in (("D.phi", dphi), ("D.xi", dxi), ("D.eta", deta), ("D.g", dg)):
         for idx, value in t.nonzero():
             report.require(name, tuple(i + 1 for i in idx), value, 0)

@@ -28,7 +28,7 @@ from .errors import StructureFileError
 from .linalg import Matrix, Vector
 from .liealg import LieAlgebra, MetricLieAlgebra
 from .rational import as_scalar, format_scalar
-from .structures import EPSILONS, AlmostContactStructure, HN3Manifold, require_valid
+from .structures import AlmostContactStructure, HN3Manifold, require_valid
 from .tensor import covector
 
 
@@ -162,7 +162,7 @@ def structure_to_json(h: HN3Manifold) -> dict:
         "structures": [
             {
                 "alpha": a,
-                "epsilon": EPSILONS[a - 1],
+                "epsilon": h.eps(a),
                 "phi": [
                     [format_scalar(h.phi(a)[i, j]) for j in range(n)] for i in range(n)
                 ],

@@ -18,7 +18,7 @@ from .errors import ShapeError
 from .linalg import Matrix, Vector, contract
 from .rational import HALF, ZERO, as_scalar
 from .reporting import Report
-from .tensor import Tensor, lower, metric_tensor
+from .tensor import Tensor, lower
 from . import tensor as tz
 
 
@@ -76,7 +76,7 @@ def validate_lie_algebra(alg: LieAlgebra) -> Report:
     # [[e_i, e_j], e_l]^k = sum_m c[i, j, m] c[m, l, k], then the cyclic
     # sum over (i, j, l); only its nonzero totals can fail
     nested = Tensor.from_dict(1, 3, alg.dim, contract({}, c, 2, c.lines(0)))
-    jacobi = nested + tz.permute_args(nested, (1, 2, 0)) + tz.permute_args(nested, (2, 0, 1))
+    jacobi = tz.cyclic_sum(nested)
     report.require_equal("jacobi", (), jacobi, Tensor.zeros(1, 3, alg.dim))
     return report
 
@@ -123,10 +123,6 @@ class MetricLieAlgebra:
         return self.metric.inverse()
 
     @cached_property
-    def metric_as_tensor(self) -> Tensor:
-        return metric_tensor(self.metric)
-
-    @cached_property
     def levi_civita(self) -> Connection:
         """Unique torsion-free metric connection, from the Koszul formula.
 
@@ -167,15 +163,15 @@ def covariant_derivative(conn: Connection, t: Tensor) -> Tensor:
     n = t.dim
     if conn.dim != n:
         raise ShapeError("connection dimension mismatch")
-    # gamma[x, y, m] meets t at m in every argument correction (with a
-    # minus sign) and at y in the derivative of the output vector; the
-    # direction x is the prefix of every term, so one sum holds them all
+    # gamma[x, y, m] meets -t at m in every argument correction and t at y
+    # in the derivative of the output vector; the direction x is the prefix
+    # of every term, so one sum holds them all
     acc: dict = {}
     if t.contra:
         contract(acc, t, t.arity, conn.gamma.lines(1, prefix=1))
-    corrections = (-conn.gamma).lines(2, prefix=1)
+    corrections, minus_t = conn.gamma.lines(2, prefix=1), -t
     for j in range(t.arity):
-        contract(acc, t, j, corrections)
+        contract(acc, minus_t, j, corrections)
     return Tensor.from_dict(t.contra, t.arity + 1, n, acc)
 
 
@@ -203,4 +199,4 @@ def lie_derivative_covector(alg: LieAlgebra, xi: Vector, eta: Tensor) -> Tensor:
         raise ShapeError("need a one-form")
     eta_bracket = contract({}, alg.bracket, 2, eta.lines(0))  # eta([e_a, e_x])
     inner = Matrix.from_dict((alg.dim, alg.dim), eta_bracket)
-    return Tensor.from_dict(0, 1, alg.dim, contract({}, inner, 0, (-xi).lines(0)))
+    return Tensor.from_dict(0, 1, alg.dim, contract({}, -inner, 0, xi.lines(0)))

@@ -62,7 +62,7 @@ class Array:
     ``_kind`` and ``_like``.
     """
 
-    __slots__ = ("shape", "comps")
+    __slots__ = ("shape", "comps", "_lines")
 
     @classmethod
     def from_dict(cls, shape: tuple[int, ...], comps: dict):
@@ -125,12 +125,17 @@ class Array:
 
         Each group ``m`` lists ``(prefix, infix, value)`` for the entries
         with index ``m`` on ``axis``: the other indices in order, the first
-        ``prefix`` (at most ``axis``) of them split off.
+        ``prefix`` (at most ``axis``) of them split off.  ``comps`` never
+        changes after construction, so each grouping is built once per array.
         """
-        out: dict[int, list] = {}
-        for idx, a in self.comps.items():
-            infix = idx[prefix:axis] + idx[axis + 1:]
-            out.setdefault(idx[axis], []).append((idx[:prefix], infix, a))
+        if not hasattr(self, "_lines"):
+            self._lines = {}
+        out = self._lines.get((axis, prefix))
+        if out is None:
+            out = self._lines[axis, prefix] = {}
+            for idx, a in self.comps.items():
+                infix = idx[prefix:axis] + idx[axis + 1:]
+                out.setdefault(idx[axis], []).append((idx[:prefix], infix, a))
         return out
 
     def nonzero(self):

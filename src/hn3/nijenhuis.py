@@ -15,8 +15,6 @@ per manifold and structure.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ShapeError
 from .linalg import Matrix
 from .liealg import (
@@ -25,13 +23,12 @@ from .liealg import (
     lie_derivative_covector,
     lie_derivative_metric,
 )
-from .rational import HALF
+from .rational import HALF, MINUS_HALF, QUARTER
 from .reporting import Report
 from .structures import HN3Manifold, ProductExtension, derived
 from .tensor import (
     Tensor,
     contract_arg_with_vector,
-    covector_times,
     lower,
     operator_from_tensor,
     permute_args,
@@ -39,19 +36,16 @@ from .tensor import (
     precompose,
     swap_args,
     tensor_from_operator,
-    times_covector,
+    tensor_product,
     times_vector,
 )
-
-MINUS_HALF = Fraction(-1, 2)
-QUARTER = Fraction(1, 4)
 
 
 @derived
 def fundamental_tensor(h: HN3Manifold, alpha: int) -> Tensor:
     """(0,3) tensor ``F(x, y, z) = g((D_x phi) y, z)`` for the Levi-Civita D."""
-    conn = h.mla.levi_civita
-    dphi = covariant_derivative(conn, tensor_from_operator(h.phi(alpha)))
+    phi = tensor_from_operator(h.phi(alpha))
+    dphi = covariant_derivative(h.mla.levi_civita, phi)
     return lower(dphi, h.metric)
 
 
@@ -70,10 +64,10 @@ def check_fundamental_properties(fund: Tensor, h: HN3Manifold, alpha: int) -> Re
     report = Report(check=f"fundamental tensor properties, structure {alpha}")
 
     flip = permute_args(fund, (0, 2, 1)) * (-eps)
-    u = times_covector(contract_arg_with_vector(fund, xi, 1), eta)
+    u = tensor_product(contract_arg_with_vector(fund, xi, 1), eta)
     refl = precompose(precompose(fund, phi, 1), phi, 2) * (-eps)
     refl = refl + swap_args(u, 1, 2)
-    refl = refl + times_covector(contract_arg_with_vector(fund, xi, 2), eta)
+    refl = refl + tensor_product(contract_arg_with_vector(fund, xi, 2), eta)
     report.require_equal(
         (
             "F(x,y,z) = -eps F(x,z,y)",
@@ -84,7 +78,7 @@ def check_fundamental_properties(fund: Tensor, h: HN3Manifold, alpha: int) -> Re
 
     if alpha == 1:
         lhs = precompose(fund, phi, 2)
-        w = times_covector(
+        w = tensor_product(
             precompose(contract_arg_with_vector(fund, xi, 1), phi, 1), eta
         )
         rhs = precompose(fund, phi, 1) + w + swap_args(w, 1, 2)
@@ -109,7 +103,8 @@ def reeb_lie_derivative_eta(h: HN3Manifold, alpha: int) -> Tensor:
 @derived
 def exterior_d_eta(h: HN3Manifold, alpha: int) -> Tensor:
     """``d eta (x, y) = (D_x eta)(y) - (D_y eta)(x)``, no 1/2 in front."""
-    de = covariant_derivative(h.mla.levi_civita, h.eta(alpha))
+    eta = h.eta(alpha)
+    de = covariant_derivative(h.mla.levi_civita, eta)
     return de - permute_args(de, (1, 0))
 
 
@@ -139,7 +134,8 @@ def nijenhuis_tensor(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
 
 def phi_braces(h: HN3Manifold, alpha: int) -> Tensor:
     """Symmetric analogue of ``[phi, phi]`` built on the braces pairing."""
-    return _second_order_bracket(h.mla.braces, h.phi(alpha))
+    phi = h.phi(alpha)
+    return _second_order_bracket(h.mla.braces, phi)
 
 
 @derived
@@ -195,14 +191,14 @@ def _fund_pieces(h: HN3Manifold, alpha: int, fund: Tensor):
 def nijenhuis_form_via_fundamental(h: HN3Manifold, fund: Tensor) -> Tensor:
     """(0,3) Nijenhuis tensor of the first structure from its fundamental tensor."""
     a, b, w, eta = _fund_pieces(h, 1, fund)
-    half = a + b + times_covector(w, eta)
+    half = a + b + tensor_product(w, eta)
     return half - permute_args(half, (1, 0, 2))
 
 
 def associated_form_via_fundamental(h: HN3Manifold, fund: Tensor) -> Tensor:
     """(0,3) associated Nijenhuis tensor of the first structure, same pieces, all plus."""
     a, b, w, eta = _fund_pieces(h, 1, fund)
-    half = a + b + times_covector(w, eta)
+    half = a + b + tensor_product(w, eta)
     return half + permute_args(half, (1, 0, 2))
 
 
@@ -215,7 +211,7 @@ def metric_lie_derivative_via_fundamental(h: HN3Manifold, fund: Tensor) -> Tenso
 def associated_form_via_fundamental2(h: HN3Manifold, fund: Tensor) -> Tensor:
     """(0,3) associated Nijenhuis tensor of the second structure (Norden signs)."""
     a, b, w, eta = _fund_pieces(h, 2, fund)
-    half = a - b + times_covector(w, eta)
+    half = a - b + tensor_product(w, eta)
     return half + permute_args(half, (1, 0, 2))
 
 
@@ -231,7 +227,7 @@ def fundamental2_via_nijenhuis(
     q = contract_arg_with_vector(
         contract_arg_with_vector(precompose(assoc_form, phi, 2), xi, 0), xi, 0
     )  # Nhat(xi, xi, phi y)
-    part2 = covector_times(eta, u + times_covector(q, eta)) * HALF
+    part2 = tensor_product(eta, u + tensor_product(q, eta)) * HALF
     return part1 + part2
 
 
@@ -245,7 +241,7 @@ def metric_lie_derivative_via_associated2(h: HN3Manifold, assoc_form: Tensor) ->
         precompose(precompose(assoc_form, phi, 1), phi, 2), xi, 0
     )  # Nhat(xi, phi x, phi y)
     r = contract_arg_with_vector(contract_arg_with_vector(assoc_form, xi, 0), xi, 0)
-    d = covector_times(eta, r)  # eta(x) Nhat(xi, xi, y)
+    d = tensor_product(eta, r)  # eta(x) Nhat(xi, xi, y)
     return (
         a + b + permute_args(b, (1, 0)) + d + permute_args(d, (1, 0))
     ) * MINUS_HALF
@@ -260,5 +256,5 @@ def braces_nijenhuis_product(p: ProductExtension, alpha: int, beta: int) -> Tens
     The symmetrized pairing ``(S(Ja, Jb) + S(Jb, Ja)) / 2`` of the braces,
     so that ``alpha == beta`` gives the plain diagonal ``S(Ja, Ja)``.
     """
-    jb = None if alpha == beta else p.j_ops[beta - 1]
-    return _second_order_bracket(p.mla.braces, p.j_ops[alpha - 1], jb)
+    ja, jb = p.j(alpha), p.j(beta)
+    return _second_order_bracket(p.mla.braces, ja, None if alpha == beta else jb)

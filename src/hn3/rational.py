@@ -13,6 +13,9 @@ Scalar = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+MINUS_HALF = Fraction(-1, 2)
+QUARTER = Fraction(1, 4)
+SIXTH = Fraction(1, 6)
 
 
 def as_scalar(value: int | str | Fraction) -> Fraction:

@@ -30,6 +30,12 @@ from .tensor import Tensor
 EPSILONS = (1, -1, -1)
 
 
+def _position(alpha: int) -> int:
+    if alpha not in (1, 2, 3):
+        raise ValueError(f"structures are numbered 1, 2, 3, not {alpha!r}")
+    return alpha - 1
+
+
 def epsilon_symbol(a: int, b: int, c: int) -> int:
     """Totally antisymmetric symbol on {1, 2, 3}."""
     if {a, b, c} != {1, 2, 3}:
@@ -92,7 +98,7 @@ class HN3Manifold:
         return self.mla.metric
 
     def structure(self, alpha: int) -> AlmostContactStructure:
-        return self.structures[alpha - 1]
+        return self.structures[_position(alpha)]
 
     def phi(self, alpha: int) -> Matrix:
         return self.structure(alpha).phi
@@ -111,13 +117,12 @@ def derived(build: Callable) -> Callable:
     """Make ``build(h)`` run once per manifold, or ``build(h, alpha)`` once per structure.
 
     The result lives in the manifold's memo under ``(build, *alpha)``; a call
-    that raises stores nothing.
+    that raises stores nothing.  A build first reads its structure through
+    ``HN3Manifold.structure``, which refuses numbers outside 1, 2, 3.
     """
 
     @wraps(build)
     def memoized(h: HN3Manifold, *alpha: int):
-        if alpha and alpha[0] not in (1, 2, 3):
-            raise ValueError("structures are numbered 1, 2, 3")
         key = (build, *alpha)
         if key not in h._memo:
             h._memo[key] = build(h, *alpha)
@@ -236,6 +241,10 @@ class ProductExtension:
     def dim(self) -> int:
         return self.mla.dim
 
+    def j(self, alpha: int) -> Matrix:
+        """``J_alpha``; raises ``ValueError`` outside 1, 2, 3."""
+        return self.j_ops[_position(alpha)]
+
     @cached_property
     def metric_signature(self) -> tuple[int, int, int]:
         return signature(self.mla.metric)
@@ -270,7 +279,7 @@ def validate_hypercomplex_hn(p: ProductExtension) -> Report:
     g = p.mla.metric
     minus_id = -Matrix.identity(p.dim)
     for a in (1, 2, 3):
-        j = p.j_ops[a - 1]
+        j = p.j(a)
         report.require_equal(f"J{a} squares to -I", (a,), j @ j, minus_id)
         report.require_equal(
             f"G(J{a}.,J{a}.) compatibility", (a,),
@@ -284,7 +293,7 @@ def validate_hypercomplex_hn(p: ProductExtension) -> Report:
             e = epsilon_symbol(a, b, c)
             report.require_equal(
                 f"J{a}J{b} = {'+' if e > 0 else '-'}J{c}", (a, b),
-                p.j_ops[a - 1] @ p.j_ops[b - 1], p.j_ops[c - 1] * e,
+                p.j(a) @ p.j(b), p.j(c) * e,
             )
     report.findings["extension_signature"] = "({},{},{})".format(*p.metric_signature)
     return report

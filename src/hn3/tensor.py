@@ -12,7 +12,7 @@ Conventions
   ``hn3.linalg.outer``, so only stored nonzeros are ever multiplied.
 * ``lower`` contracts the output index with the metric into a NEW LAST
   argument slot: ``lower(t, g)(x.., z) = g(t(x..), e_z)``.
-* ``interior`` contracts a vector into the FIRST argument slot.
+* ``tensor_product(a, b)`` puts the argument slots of ``a`` FIRST.
 * Covariant differentiation (see ``liealg``) puts the direction slot
   FIRST.
 * The exterior derivative of a one-form carries no 1/2:
@@ -29,16 +29,7 @@ from fractions import Fraction
 
 from .errors import ShapeError, SymmetryError
 from .linalg import Array, Matrix, Vector, contract, outer
-from .rational import ZERO, as_scalar
-
-_PERMS3 = (
-    ((0, 1, 2), 1),
-    ((1, 2, 0), 1),
-    ((2, 0, 1), 1),
-    ((1, 0, 2), -1),
-    ((0, 2, 1), -1),
-    ((2, 1, 0), -1),
-)
+from .rational import SIXTH, ZERO, as_scalar
 
 
 class Tensor(Array):
@@ -160,8 +151,7 @@ def lower(t: Tensor, g: Matrix) -> Tensor:
     """Lower the output index of a (1,s) tensor into a new last slot."""
     if t.contra != 1:
         raise ShapeError("lower needs a vector-valued tensor")
-    if g.rows != t.dim or g.cols != t.dim:
-        raise ShapeError("metric dimension mismatch")
+    _check_operator(g, t.dim)
     # out(x.., z) = sum_m t(x..)^m g[m, z]
     return Tensor.from_dict(0, t.arity + 1, t.dim, contract({}, t, t.arity, g.lines(0)))
 
@@ -222,27 +212,13 @@ def contract_arg_with_vector(t: Tensor, v: Vector, slot: int) -> Tensor:
     return Tensor.from_dict(t.contra, t.arity - 1, t.dim, contract({}, t, slot, v.lines(0)))
 
 
-def interior(v: Vector, t: Tensor) -> Tensor:
-    """Interior product: contract ``v`` into the FIRST argument slot."""
-    return contract_arg_with_vector(t, v, 0)
-
-
-def times_covector(t: Tensor, eta: Tensor) -> Tensor:
-    """Append a covariant slot: ``out(x.., z) = t(x..) eta(z)``."""
-    if t.contra != 0 or eta.contra != 0 or eta.arity != 1:
-        raise ShapeError("times_covector combines a (0,s) tensor with a one-form")
-    if eta.dim != t.dim:
+def tensor_product(a: Tensor, b: Tensor) -> Tensor:
+    """Tensor product of two (0,s) tensors: ``out(x.., y..) = a(x..) b(y..)``."""
+    if a.contra != 0 or b.contra != 0:
+        raise ShapeError("tensor_product combines two (0,s) tensors")
+    if a.dim != b.dim:
         raise ShapeError("dimension mismatch")
-    return Tensor.from_dict(0, t.arity + 1, t.dim, outer(t, eta))
-
-
-def covector_times(eta: Tensor, t: Tensor) -> Tensor:
-    """Prepend a covariant slot: ``out(x, y..) = eta(x) t(y..)``."""
-    if t.contra != 0 or eta.contra != 0 or eta.arity != 1:
-        raise ShapeError("covector_times combines a one-form with a (0,s) tensor")
-    if eta.dim != t.dim:
-        raise ShapeError("dimension mismatch")
-    return Tensor.from_dict(0, t.arity + 1, t.dim, outer(eta, t))
+    return Tensor.from_dict(0, a.arity + b.arity, a.dim, outer(a, b))
 
 
 def times_vector(t: Tensor, v: Vector) -> Tensor:
@@ -255,20 +231,16 @@ def times_vector(t: Tensor, v: Vector) -> Tensor:
 
 
 def cyclic_sum(t: Tensor) -> Tensor:
-    """Sum over the three cyclic shifts of the argument slots of a (0,3) tensor."""
-    if t.contra != 0 or t.arity != 3:
-        raise ShapeError("cyclic_sum is defined for (0,3) tensors")
+    """Sum over the three cyclic shifts of the argument slots of a (0,3) or (1,3) tensor."""
+    if t.arity != 3:
+        raise ShapeError("cyclic_sum needs three argument slots")
     return t + permute_args(t, (1, 2, 0)) + permute_args(t, (2, 0, 1))
 
 
 def alternation(t: Tensor) -> Tensor:
-    """Full antisymmetrization (with the 1/3! factor) of a (0,3) tensor."""
-    if t.contra != 0 or t.arity != 3:
-        raise ShapeError("alternation is defined for (0,3) tensors")
-    total = Tensor.zeros(0, 3, t.dim)
-    for perm, sign in _PERMS3:
-        total = total + permute_args(t, perm) * sign
-    return total * Fraction(1, 6)
+    """Full antisymmetrization (with the 1/3! factor) of a (0,3) tensor; the
+    cyclic shifts of ``t(y, x, z)`` are exactly the three odd permutations."""
+    return (cyclic_sum(t) - cyclic_sum(swap_args(t, 0, 1))) * SIXTH
 
 
 def is_three_form(t: Tensor) -> bool:
@@ -286,4 +258,4 @@ def wedge_1_2(eta: Tensor, omega: Tensor) -> Tensor:
         raise ShapeError("second factor must be a two-form")
     if not omega.antisymmetric_in(0, 1):
         raise SymmetryError("second factor must be antisymmetric")
-    return cyclic_sum(covector_times(eta, omega))
+    return cyclic_sum(tensor_product(eta, omega))

@@ -200,19 +200,22 @@ class TestCLI:
         assert "structure file error: /metric/0/0" in capsys.readouterr().err
 
     def test_invalid_algebra_exits_1(self, builtin2, tmp_path, capsys):
-        data = structure_to_json(builtin2)
-        data["brackets"] = [
-            {"i": i, "j": j, "k": k, "value": v} for (i, j, k), v in JACOBI_BAD.items()
-        ]
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(data))
-        assert run(["validate", str(p)]) == 1
-        assert "jacobi" in capsys.readouterr().err
-        # the command loads past the gate and prints every validator's report
-        assert run(["validate", str(p), "--json"]) == 1
-        reports = json.loads(capsys.readouterr().out)
-        assert [r["status"] for r in reports] == ["fail", "pass", "pass", "pass"]
-        assert {v["identity"] for v in reports[0]["violations"]} == {"jacobi"}
+        # a Jacobi violation, and a bracket listed in one orientation only
+        # (its (j, i) partner is not implied)
+        for brackets, identity in ((JACOBI_BAD, "jacobi"), ({(1, 2, 7): 2}, "antisymmetry")):
+            data = structure_to_json(builtin2)
+            data["brackets"] = [
+                {"i": i, "j": j, "k": k, "value": v} for (i, j, k), v in brackets.items()
+            ]
+            p = tmp_path / "bad.json"
+            p.write_text(json.dumps(data))
+            assert run(["validate", str(p)]) == 1
+            assert identity in capsys.readouterr().err
+            # the command loads past the gate and prints every validator's report
+            assert run(["validate", str(p), "--json"]) == 1
+            reports = json.loads(capsys.readouterr().out)
+            assert [r["status"] for r in reports] == ["fail", "pass", "pass", "pass"]
+            assert {v["identity"] for v in reports[0]["violations"]} == {identity}
 
     def test_failed_existence_exits_1(self, tmp_path, capsys):
         p = tmp_path / "solvable.json"
@@ -291,6 +294,16 @@ class TestCLI:
         dump_structure(manifold_from_brackets(SOLVABLE_BRACKETS), p)
         assert run(["compute", "--tensor", "T2", str(p), "--force"]) == 0
         assert "existence precondition fails" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "classify", "product", "example"])
+    def test_force_only_where_a_precondition_can_fail(self, command, capsys):
+        assert run([command, "--example", "--force"]) == 2
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+    def test_failed_emit_says_writing_failed(self, tmp_path, capsys):
+        assert run(["example", "--emit", str(tmp_path / "absent" / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write structure file" in err and "cannot read" not in err
 
     def test_classify_example(self, capsys):
         code, reports = run_json(capsys, ["classify", "--example", "--json"])

@@ -109,6 +109,13 @@ class TestMatrix:
         with pytest.raises(ShapeError):
             z + Matrix.zeros(3, 2)
 
+    def test_groupings_are_built_once_per_array(self):
+        m = Matrix([[1, 0, 2], [0, 3, 0]])
+        assert m.lines(0) is m.lines(0)
+        assert m.lines(1) is m.lines(1) and m.lines(1) is not m.lines(0)
+        assert m.lines(1, prefix=1) is not m.lines(1)
+        assert m.lines(1) == {0: [((), (0,), 1)], 1: [((), (1,), 3)], 2: [((), (0,), 2)]}
+
     def test_vector_is_not_a_one_form(self):
         assert Vector([1, 0]) != covector([1, 0])
         assert Vector([1, 0]) != Matrix([[1, 0]])

@@ -40,7 +40,7 @@ from hn3.nijenhuis import (
     metric_lie_derivative_via_fundamental,
     nijenhuis_form_via_fundamental,
 )
-from hn3.tensor import Tensor, covector_times, permute_args
+from hn3.tensor import Tensor, permute_args, tensor_product
 
 
 def f_seeds(alpha: int, lam: Fraction) -> dict:
@@ -83,7 +83,7 @@ class TestFundamentalTensor:
 
     def test_properties_reject_a_broken_tensor(self, builtin2):
         f = fundamental_tensor(builtin2, 2)
-        bad = f + covector_times(builtin2.eta(2), exterior_d_eta(builtin2, 3))
+        bad = f + tensor_product(builtin2.eta(2), exterior_d_eta(builtin2, 3))
         report = check_fundamental_properties(bad, builtin2, 2)
         # both identities are checked at each component before moving on
         swap = "F(x,y,z) = -eps F(x,z,y)"

@@ -52,6 +52,22 @@ def test_sums_go_through_accumulate(path):
     assert offending == []
 
 
+def test_only_rational_builds_fractions():
+    # exact constants live in ``hn3.rational`` next to ZERO, ONE and HALF;
+    # other modules may still name ``Fraction`` in type hints
+    builders = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "Fraction")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "Fraction")
+        )
+    }
+    assert builders == {"rational.py"}
+
+
 def test_only_linalg_accumulates():
     # every product of stored nonzeros runs in ``linalg.contract`` or
     # ``linalg.outer``; a multiply-accumulate loop elsewhere would need

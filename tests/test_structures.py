@@ -11,8 +11,16 @@ from conftest import LAMBDAS
 from hn3 import (
     Matrix,
     Vector,
+    braces_nijenhuis_product,
     build_product,
     builtin_example,
+    check_fundamental_properties,
+    fundamental_tensor,
+    in_skew_torsion_class,
+    natural_connection,
+    naturality_report,
+    phi_braces,
+    reeb_lie_derivative_eta,
     signature,
     validate_ac3,
     validate_hn_metric,
@@ -53,6 +61,30 @@ class TestStructureAxioms:
             xi = builtin2.xi(a)
             sq = sum(xi[i] * g[i, j] * xi[j] for i in range(7) for j in range(7))
             assert sq == -builtin2.eps(a)
+
+
+@pytest.mark.parametrize("alpha", [0, 4, -1])
+def test_structure_numbers_outside_1_to_3_are_refused(builtin2, alpha):
+    # a negative or zero number would otherwise index the tuple from its end
+    p = build_product(builtin2)
+    d1 = natural_connection(builtin2, 1).connection
+    f1 = fundamental_tensor(builtin2, 1)
+    calls = (
+        lambda: builtin2.phi(alpha),
+        lambda: phi_braces(builtin2, alpha),
+        lambda: reeb_lie_derivative_eta(builtin2, alpha),
+        lambda: naturality_report(d1, builtin2, alpha),
+        lambda: check_fundamental_properties(f1, builtin2, alpha),
+        lambda: fundamental_tensor(builtin2, alpha),
+        lambda: in_skew_torsion_class(builtin2, alpha),
+        lambda: braces_nijenhuis_product(p, alpha, 1),
+        lambda: braces_nijenhuis_product(p, 1, alpha),
+        lambda: p.j(alpha),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="numbered 1, 2, 3"):
+            call()
+    assert not [key for key in builtin2._memo if key[1:] == (alpha,)]
 
 
 class TestStructurePerturbations:

@@ -1,8 +1,8 @@
 """Tensor container and the multilinear operations built on it.
 
-Covers index lowering and raising, cyclic sums, alternation, interior
-products, the eta-wedge, and the combinators the geometry modules compose
-their formulas from.
+Covers index lowering and raising, cyclic sums, alternation, slot
+contractions, the tensor product, the eta-wedge, and the combinators the
+geometry modules compose their formulas from.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from hn3.tensor import (
     alternation,
     contract_arg_with_vector,
     covector,
-    covector_times,
     cyclic_sum,
-    interior,
     is_three_form,
     lower,
     metric_tensor,
@@ -41,7 +39,7 @@ from hn3.tensor import (
     raise_last,
     swap_args,
     tensor_from_operator,
-    times_covector,
+    tensor_product,
     times_vector,
     wedge_1_2,
 )
@@ -62,6 +60,16 @@ METRIC3 = Matrix.diagonal([1, -1, 1])
 
 TRANSPOSITIONS = ((0, 1), (1, 2), (0, 2))
 RAMP = Tensor.build(0, 3, 3, lambda i, j, k: Fraction(i * 9 + j * 3 + k))
+# the six permutations of three slots with their signs, the reference sum
+# that ``alternation`` must reproduce
+SIGNED_PERMUTATIONS = (
+    ((0, 1, 2), 1),
+    ((1, 2, 0), 1),
+    ((2, 0, 1), 1),
+    ((1, 0, 2), -1),
+    ((0, 2, 1), -1),
+    ((2, 1, 0), -1),
+)
 
 
 def antisymmetrized(t: Tensor, pair: tuple[int, int]) -> Tensor:
@@ -116,7 +124,7 @@ class TestMetricOps:
 
     def test_interior_contracts_first_slot(self):
         g = metric_tensor(METRIC3)
-        assert interior(Vector.basis(3, 1), g) == covector(Vector([0, -1, 0]))
+        assert contract_arg_with_vector(g, Vector.basis(3, 1), 0) == covector(Vector([0, -1, 0]))
 
     def test_contract_arg_with_vector_hits_chosen_slot(self):
         t = Tensor.build(0, 3, 3, lambda i, j, k: Fraction(i * 9 + j * 3 + k))
@@ -147,6 +155,16 @@ class TestCyclicAndAlternation:
         assert alternation(a) == a
         assert is_three_form(t) == (alternation(t) == t)
 
+    @given(three_slot_tensors)
+    @example(RAMP)
+    @settings(max_examples=40, deadline=None)
+    def test_alternation_is_the_signed_permutation_mean(self, t):
+        reference = Tensor.build(0, 3, 3, lambda *idx: sum(
+            (sign * t[tuple(idx[p] for p in perm)] for perm, sign in SIGNED_PERMUTATIONS),
+            Fraction(0),
+        ) / 6)
+        assert alternation(t) == reference
+
     def test_cyclic_sum_of_three_form_is_triple(self):
         t = alternation(Tensor.build(0, 3, 3, lambda i, j, k: Fraction(i - 2 * j + k * k)))
         assert cyclic_sum(t) == t * 3
@@ -154,6 +172,8 @@ class TestCyclicAndAlternation:
     def test_cyclic_sum_rejects_other_shapes(self):
         with pytest.raises(ShapeError):
             cyclic_sum(metric_tensor(METRIC3))
+        with pytest.raises(ShapeError):
+            alternation(metric_tensor(METRIC3))
 
 
 class TestWedge:
@@ -197,10 +217,15 @@ class TestCombinators:
     def test_times_and_covector_products(self):
         eta = covector(Vector([0, 1, 0]))
         om = covector(Vector([1, 0, 0]))
-        left = covector_times(eta, om)
-        assert left == times_covector(eta, om)  # both are eta (x) om
+        left = tensor_product(eta, om)
         assert left[1, 0] == 1 and left[0, 1] == 0
-        assert times_covector(om, eta) == swap_args(left, 0, 1)
+        assert tensor_product(om, eta) == swap_args(left, 0, 1)
+        with pytest.raises(ShapeError):
+            tensor_product(tensor_from_operator(METRIC3), eta)  # a (1,1) factor
+        with pytest.raises(ShapeError):
+            tensor_product(eta, tensor_from_operator(METRIC3))
+        with pytest.raises(ShapeError):
+            tensor_product(eta, covector(Vector([1, 0])))  # dimensions 3 and 2
 
     def test_times_vector_appends_output(self):
         om = covector(Vector([1, 2, 0]))
@@ -361,10 +386,13 @@ class TestSparseKernels:
     def test_outer_products_match_dense(self, t, eta, v):
         w = Vector(v)
         assert_canonical_equal(
-            times_covector(t, eta), Tensor.build(0, 3, DIM, lambda *i: t[i[:-1]] * eta[i[-1]])
+            tensor_product(t, eta), Tensor.build(0, 3, DIM, lambda *i: t[i[:-1]] * eta[i[-1]])
         )
         assert_canonical_equal(
-            covector_times(eta, t), Tensor.build(0, 3, DIM, lambda *i: eta[i[0]] * t[i[1:]])
+            tensor_product(eta, t), Tensor.build(0, 3, DIM, lambda *i: eta[i[0]] * t[i[1:]])
+        )
+        assert_canonical_equal(
+            tensor_product(t, t), Tensor.build(0, 4, DIM, lambda *i: t[i[:2]] * t[i[2:]])
         )
         assert_canonical_equal(
             times_vector(t, w), Tensor.build(1, 2, DIM, lambda *i: t[i[:-1]] * w[i[-1]])
