@@ -18,6 +18,7 @@ from .connections import (
     class_condition_alpha1,
     class_condition_alpha23,
     coincidence_check,
+    cyclic_sum_vanishes,
     in_skew_torsion_class,
     natural_connection,
     naturality_report,
@@ -39,7 +40,6 @@ from .nijenhuis import (
 )
 from .reporting import Report
 from .structures import HN3Manifold, require_valid, validation_reports
-from .tensor import cyclic_sum
 
 _TENSORS = (
     "F1", "F2", "F3",
@@ -166,9 +166,7 @@ def _cmd_classify(h: HN3Manifold, args) -> tuple[int, list[Report]]:
     report = Report("skew-torsion admissibility")
     report.findings["structure1_reflection_identity"] = class_condition_alpha1(h)
     for a in (2, 3):
-        report.findings[f"structure{a}_cyclic_sum_vanishes"] = cyclic_sum(
-            fundamental_tensor(h, a)
-        ).is_zero()
+        report.findings[f"structure{a}_cyclic_sum_vanishes"] = cyclic_sum_vanishes(h, a)
         report.findings[f"structure{a}_reeb_killing"] = metric_lie_derivative(
             h, a
         ).is_zero()

@@ -78,11 +78,17 @@ def class_condition_alpha23(h: HN3Manifold, alpha: int, fund: Tensor | None = No
 
 
 @derived
+def cyclic_sum_vanishes(h: HN3Manifold, alpha: int) -> bool:
+    """Whether the cyclic sum of F_alpha vanishes, decided once per manifold."""
+    return cyclic_sum(fundamental_tensor(h, alpha)).is_zero()
+
+
+@derived
 def in_skew_torsion_class(h: HN3Manifold, alpha: int) -> bool:
     """The class condition of one structure, decided once per manifold."""
     if alpha == 1:
         return class_condition_alpha1(h, fundamental_tensor(h, 1))
-    return class_condition_alpha23(h, alpha, fundamental_tensor(h, alpha))
+    return cyclic_sum_vanishes(h, alpha) and metric_lie_derivative(h, alpha).is_zero()
 
 
 def torsion_alpha1_via_forms(h: HN3Manifold) -> Tensor:

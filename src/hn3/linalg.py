@@ -8,7 +8,9 @@ dict.  Every product of two arrays in the package runs in one of two
 places here, and multiplies their stored nonzeros only: ``contract``,
 which sums over one shared index (matrix products, slot contractions,
 covariant derivatives, Jacobi sums), and ``outer``, the tensor product
-with no summed index.
+with no summed index.  ``contract`` sums exactly in Python ints: each
+output entry keeps an integer numerator over a common denominator while
+its products arrive, and is reduced to a Fraction once, at the end.
 
 Matrices act on column vectors, so column ``j`` of an operator holds the
 image of the ``j``-th basis vector; entry ``(i, j)`` is keyed ``(i, j)``.
@@ -21,9 +23,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from math import gcd
 
 from .errors import ShapeError, SingularMatrixError, SymmetryError
-from .rational import ONE, ZERO, as_scalar
+from .rational import ONE, ZERO, as_scalar, from_ratio, split
 
 
 def accumulate(acc: dict, key, value) -> None:
@@ -32,19 +35,40 @@ def accumulate(acc: dict, key, value) -> None:
     acc[key] = value if old is None else old + value
 
 
-def contract(acc: dict, t: Array, pos: int, lines: dict) -> dict:
-    """Sum over the index in slot ``pos`` of ``t`` against grouped entries.
+def contract(*terms: tuple[Array, int, dict]) -> dict:
+    """Sum over one index per term; each output entry is reduced once.
 
-    Each stored ``t[head, m, tail]`` meets every ``(prefix, infix, w)`` in
-    ``lines[m]`` (as ``Array.lines`` groups them) and adds ``w * t[..]``
-    at ``prefix + head + infix + tail`` in ``acc``, which is returned.
-    Only stored nonzeros on both sides are multiplied.
+    A term ``(t, pos, lines)`` sums over the index in slot ``pos`` of
+    ``t``: each stored ``t[head, m, tail]`` meets every ``(prefix, infix,
+    p, q)`` in ``lines[m]`` (as ``Array.lines`` groups them) and adds
+    ``p/q * t[..]`` at ``prefix + head + infix + tail``.  Only stored
+    nonzeros on both sides are multiplied, in ints: an output entry keeps
+    a numerator over a denominator, which stays while a product's matches
+    and becomes the lcm otherwise.  The result maps each key to its one
+    reduced Fraction; a key whose terms cancel is left out.
     """
-    for idx, v in t.comps.items():
-        head, tail = idx[:pos], idx[pos + 1:]
-        for prefix, infix, w in lines.get(idx[pos], ()):
-            accumulate(acc, prefix + head + infix + tail, w * v)
-    return acc
+    acc: dict = {}
+    for t, pos, lines in terms:
+        for idx, v in t.comps.items():
+            group = lines.get(idx[pos])
+            if group is None:
+                continue
+            vp, vq = split(v)
+            head, tail = idx[:pos], idx[pos + 1:]
+            for prefix, infix, p, q in group:
+                key = prefix + head + infix + tail
+                p *= vp
+                q *= vq
+                entry = acc.get(key)
+                if entry is None:
+                    acc[key] = [p, q]
+                elif entry[1] == q:
+                    entry[0] += p
+                else:
+                    g = gcd(entry[1], q)
+                    entry[0] = entry[0] * (q // g) + p * (entry[1] // g)
+                    entry[1] *= q // g
+    return {key: from_ratio(p, q) for key, (p, q) in acc.items() if p}
 
 
 def outer(left: Array, right: Array) -> dict:
@@ -123,10 +147,11 @@ class Array:
     def lines(self, axis: int, prefix: int = 0) -> dict[int, list]:
         """Nonzeros grouped by their index on ``axis``, ready for ``contract``.
 
-        Each group ``m`` lists ``(prefix, infix, value)`` for the entries
+        Each group ``m`` lists ``(prefix, infix, p, q)`` for the entries
         with index ``m`` on ``axis``: the other indices in order, the first
-        ``prefix`` (at most ``axis``) of them split off.  ``comps`` never
-        changes after construction, so each grouping is built once per array.
+        ``prefix`` (at most ``axis``) of them split off, then the value
+        ``p/q`` as ints.  ``comps`` never changes after construction, so
+        each grouping is built once per array.
         """
         if not hasattr(self, "_lines"):
             self._lines = {}
@@ -135,7 +160,7 @@ class Array:
             out = self._lines[axis, prefix] = {}
             for idx, a in self.comps.items():
                 infix = idx[prefix:axis] + idx[axis + 1:]
-                out.setdefault(idx[axis], []).append((idx[:prefix], infix, a))
+                out.setdefault(idx[axis], []).append((idx[:prefix], infix, *split(a)))
         return out
 
     def nonzero(self):
@@ -224,13 +249,13 @@ class Matrix(Array):
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        return Matrix.from_dict((self.rows, other.cols), contract({}, self, 1, other.lines(0)))
+        return Matrix.from_dict((self.rows, other.cols), contract((self, 1, other.lines(0))))
 
     def apply(self, v: Array) -> Vector:
         """``self v`` for a vector, or the components of a one-form, of length ``cols``."""
         if v.shape != (self.cols,):
             raise ShapeError(f"cannot apply {self.shape} to an array of shape {v.shape}")
-        return Vector.from_dict((self.rows,), contract({}, self, 1, v.lines(0)))
+        return Vector.from_dict((self.rows,), contract((self, 1, v.lines(0))))
 
     def transpose(self) -> Matrix:
         return Matrix.from_dict(

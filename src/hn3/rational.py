@@ -3,7 +3,9 @@
 Every numeric quantity in this package is a ``fractions.Fraction``:
 arbitrary-precision numerator, positive denominator, always reduced.
 Nothing in the core ever rounds, so equality checks are meaningful at
-tolerance zero.
+tolerance zero.  ``split`` and ``from_ratio`` are the one place a scalar
+is taken apart into Python ints and put back together; the contraction
+kernel in ``hn3.linalg`` sums in those ints.
 """
 
 from fractions import Fraction
@@ -40,6 +42,16 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational number: {value!r}") from exc
     raise TypeError(f"exact scalar expected, got {type(value).__name__}")
+
+
+def split(value: Fraction) -> tuple[int, int]:
+    """The integer numerator and positive denominator of a scalar."""
+    return value.numerator, value.denominator
+
+
+def from_ratio(numerator: int, denominator: int) -> Fraction:
+    """The reduced scalar ``numerator / denominator``, for a positive denominator."""
+    return Fraction(numerator, denominator)
 
 
 def format_scalar(value: int | str | Fraction) -> str:

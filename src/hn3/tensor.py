@@ -153,7 +153,7 @@ def lower(t: Tensor, g: Matrix) -> Tensor:
         raise ShapeError("lower needs a vector-valued tensor")
     _check_operator(g, t.dim)
     # out(x.., z) = sum_m t(x..)^m g[m, z]
-    return Tensor.from_dict(0, t.arity + 1, t.dim, contract({}, t, t.arity, g.lines(0)))
+    return Tensor.from_dict(0, t.arity + 1, t.dim, contract((t, t.arity, g.lines(0))))
 
 
 def raise_last(t: Tensor, g_inv: Matrix) -> Tensor:
@@ -162,7 +162,7 @@ def raise_last(t: Tensor, g_inv: Matrix) -> Tensor:
         raise ShapeError("raise_last needs a (0,s) tensor with s >= 2")
     _check_operator(g_inv, t.dim)
     # out(x..)^k = sum_m t(x.., m) g_inv[m, k]
-    return Tensor.from_dict(1, t.arity - 1, t.dim, contract({}, t, t.arity - 1, g_inv.lines(0)))
+    return Tensor.from_dict(1, t.arity - 1, t.dim, contract((t, t.arity - 1, g_inv.lines(0))))
 
 
 def permute_args(t: Tensor, perm: tuple[int, ...]) -> Tensor:
@@ -189,7 +189,7 @@ def precompose(t: Tensor, op: Matrix, slot: int) -> Tensor:
         raise ShapeError(f"slot {slot} out of range for arity {t.arity}")
     _check_operator(op, t.dim)
     # out[.., i, ..] = sum_m op[m, i] t[.., m, ..]
-    return t._like(contract({}, t, slot, op.lines(0)))
+    return t._like(contract((t, slot, op.lines(0))))
 
 
 def postcompose(t: Tensor, op: Matrix) -> Tensor:
@@ -198,7 +198,7 @@ def postcompose(t: Tensor, op: Matrix) -> Tensor:
         raise ShapeError("postcompose needs a vector-valued tensor")
     _check_operator(op, t.dim)
     # out(x..)^k = sum_m op[k, m] t(x..)^m
-    return t._like(contract({}, t, t.arity, op.lines(1)))
+    return t._like(contract((t, t.arity, op.lines(1))))
 
 
 def contract_arg_with_vector(t: Tensor, v: Vector, slot: int) -> Tensor:
@@ -209,7 +209,7 @@ def contract_arg_with_vector(t: Tensor, v: Vector, slot: int) -> Tensor:
         raise ShapeError("vector dimension mismatch")
     if t.arity == 1 and t.contra == 0:
         raise ShapeError("contraction would leave no slots")
-    return Tensor.from_dict(t.contra, t.arity - 1, t.dim, contract({}, t, slot, v.lines(0)))
+    return Tensor.from_dict(t.contra, t.arity - 1, t.dim, contract((t, slot, v.lines(0))))
 
 
 def tensor_product(a: Tensor, b: Tensor) -> Tensor:

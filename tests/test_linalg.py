@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hn3 import Matrix, Vector, signature
 from hn3.errors import ShapeError, SingularMatrixError, SymmetryError
-from hn3.tensor import covector
+from hn3.tensor import Tensor, covector, precompose
 
 rationals = st.builds(
     Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=6)
@@ -114,7 +115,30 @@ class TestMatrix:
         assert m.lines(0) is m.lines(0)
         assert m.lines(1) is m.lines(1) and m.lines(1) is not m.lines(0)
         assert m.lines(1, prefix=1) is not m.lines(1)
-        assert m.lines(1) == {0: [((), (0,), 1)], 1: [((), (1,), 3)], 2: [((), (0,), 2)]}
+        # (prefix, infix, numerator, denominator) per entry
+        assert m.lines(1) == {
+            0: [((), (0,), 1, 1)], 1: [((), (1,), 3, 1)], 2: [((), (0,), 2, 1)]
+        }
+
+    def test_contraction_builds_one_fraction_per_output_entry(self, monkeypatch):
+        # dense factors with unlike denominators: each of the 27 output
+        # entries sums three products in ints and is reduced once
+        t = Tensor(0, 3, 3, [Fraction(i - 13, i % 4 + 2) for i in range(27)])
+        op = Matrix([[Fraction(i + 2 * j - 3, j + 2) for j in range(3)] for i in range(3)])
+        built = Counter()
+        for name in ("__new__", "__mul__", "__rmul__", "__add__", "__radd__"):
+            original = getattr(Fraction, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                built[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        out = precompose(t, op, 0)
+        monkeypatch.undo()
+        assert built == Counter({"__new__": 27})
+        assert out == Tensor.build(0, 3, 3, lambda i, y, z: sum(
+            (op[m, i] * t[m, y, z] for m in range(3)), Fraction(0)))
 
     def test_vector_is_not_a_one_form(self):
         assert Vector([1, 0]) != covector([1, 0])

@@ -159,6 +159,17 @@ def test_connection_command_builds_three_connections(calls, capsys):
     assert calls["covariant_derivative"] == 3  # F_1, F_2, F_3
 
 
+def test_classify_command_sums_each_fundamental_tensor_once(monkeypatch, capsys):
+    sums = Counter()
+    modules = {v for v in vars(hn3).values() if isinstance(v, types.ModuleType)}
+    for module in modules:
+        if hasattr(module, "cyclic_sum"):
+            count_calls(monkeypatch, sums, module, "cyclic_sum")
+    assert run(["classify", "--example", "--json"]) == 0
+    # F_2 and F_3, each summed once for both its finding and its class verdict
+    assert sums["cyclic_sum"] == 2
+
+
 def test_each_validator_runs_once_per_manifold(monkeypatch, tmp_path):
     runs = Counter()
     for name in VALIDATORS:

@@ -68,6 +68,18 @@ def test_only_rational_builds_fractions():
     assert builders == {"rational.py"}
 
 
+def test_only_rational_splits_fractions():
+    # ``rational.split`` takes a scalar apart into the ints that
+    # ``linalg.contract`` sums, and ``rational.from_ratio`` puts it back
+    readers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")
+    }
+    assert readers == {"rational.py"}
+
+
 def test_only_linalg_accumulates():
     # every product of stored nonzeros runs in ``linalg.contract`` or
     # ``linalg.outer``; a multiply-accumulate loop elsewhere would need

@@ -340,11 +340,22 @@ nonzero_rationals = rationals.filter(bool)
 DIM = 3
 
 
+def stored(contra: int, arity: int, entries: dict, dim: int = DIM) -> Tensor:
+    """A tensor from ``{row-major position: value}``; the rest are zero."""
+    n = dim ** (contra + arity)
+    return Tensor(contra, arity, dim, [entries.get(i, 0) for i in range(n)])
+
+
 def sparse_tensors(contra: int, arity: int, dim: int = DIM):
     n = dim ** (contra + arity)
     return st.dictionaries(
         st.integers(0, n - 1), nonzero_rationals, max_size=max(3, n // 6)
-    ).map(lambda d: Tensor(contra, arity, dim, [d.get(i, 0) for i in range(n)]))
+    ).map(lambda d: stored(contra, arity, d, dim))
+
+
+# coprime denominators (a Mersenne prime and a power of 3): sums of
+# products over them take common denominators on multi-word ints
+BIG_P, BIG_Q = 2**61 - 1, 3**40
 
 
 def half_zero(dim: int = DIM):
@@ -366,6 +377,21 @@ def assert_canonical_equal(sparse: Tensor, dense: Tensor):
 
 class TestSparseKernels:
     @given(sparse_tensors(0, 3), sparse_tensors(1, 2), matrices(), half_zero())
+    @example(
+        f=stored(0, 3, {0: Fraction(1, BIG_P), 9: Fraction(-5, BIG_Q), 18: Fraction(7, 3),
+                        4: Fraction(2, BIG_P * BIG_Q)}),
+        b=stored(1, 2, {0: Fraction(1, BIG_Q), 3: Fraction(-1, BIG_P), 4: Fraction(5, BIG_P),
+                        13: Fraction(-1, BIG_Q)}),
+        op=Matrix([[Fraction(1, BIG_Q), 2, 0], [3, Fraction(-1, BIG_P), 0],
+                   [0, 1, Fraction(2, 3)]]),
+        v=[Fraction(1, BIG_P), Fraction(1, BIG_Q), 1],
+    )
+    @example(  # 1/P - (Q/P)(1/Q) = 0 at (0, 0, 0) in slot 0: no key is stored
+        f=stored(0, 3, {0: Fraction(1, BIG_P), 9: Fraction(1, BIG_Q)}),
+        b=stored(1, 2, {0: Fraction(1, BIG_P), 9: Fraction(1, BIG_Q)}),
+        op=Matrix([[1, 0, 0], [Fraction(-BIG_Q, BIG_P), 0, 0], [0, 0, 0]]),
+        v=[1, Fraction(-BIG_Q, BIG_P), 0],
+    )
     @settings(max_examples=40, deadline=None)
     def test_slot_kernels_match_dense(self, f, b, op, v):
         for t in (f, b):
@@ -412,6 +438,19 @@ class TestSparseKernels:
         assert (s * 0).comps == {}
 
     @given(sparse_tensors(1, 2), sparse_tensors(0, 2), sparse_tensors(1, 1), half_zero())
+    @example(
+        gamma=stored(1, 2, {0: Fraction(1, BIG_P), 3: Fraction(-1, BIG_Q),
+                            4: Fraction(3, BIG_P), 13: Fraction(2, 5)}),
+        t=stored(0, 2, {0: Fraction(1, BIG_Q), 1: Fraction(-7, BIG_P), 4: Fraction(1, 2)}),
+        op=stored(1, 1, {0: Fraction(1, BIG_P), 1: Fraction(1, BIG_Q), 3: 1}),
+        v=[Fraction(1, BIG_Q), Fraction(1, BIG_P), 0],
+    )
+    @example(  # the two argument corrections cancel at (0, 0, 1): no key is stored
+        gamma=stored(1, 2, {0: Fraction(1, BIG_P), 3: Fraction(-1, BIG_Q)}),
+        t=stored(0, 2, {0: Fraction(1, BIG_P), 1: Fraction(1, BIG_Q)}),
+        op=stored(1, 1, {0: Fraction(1, BIG_P), 3: Fraction(1, BIG_Q)}),
+        v=[1, Fraction(-BIG_Q, BIG_P), 0],
+    )
     @settings(max_examples=40, deadline=None)
     def test_covariant_derivatives_match_dense(self, gamma, t, op, v):
         conn = Connection(gamma)
