@@ -92,6 +92,9 @@ def parse_structure(data: dict) -> HN3Manifold:
         except KeyError as exc:
             raise StructureFileError(f"missing key {exc.args[0]!r}", path) from exc
         key = (i, j, k)
+        if i == j and value:
+            raise StructureFileError(f"bracket ({i},{i},{k}) is not antisymmetric: "
+                                     f"[e_{i}, e_{i}] = 0 requires the value 0", path)
         if key in entries and entries[key] != value:
             raise StructureFileError(
                 f"conflicting duplicate for bracket ({i},{j},{k})", path

@@ -75,7 +75,7 @@ def validate_lie_algebra(alg: LieAlgebra) -> Report:
         report.require("antisymmetry", (i + 1, j + 1, k + 1), c[i, j, k], -c[j, i, k])
     # [[e_i, e_j], e_l]^k = sum_m c[i, j, m] c[m, l, k], then the cyclic
     # sum over (i, j, l); only its nonzero totals can fail
-    nested = Tensor.from_dict(1, 3, alg.dim, contract((c, 2, c.lines(0))))
+    nested = Tensor.from_ints(1, 3, alg.dim, *contract((c, 2, c.lines(0))))
     jacobi = tz.cyclic_sum(nested)
     report.require_equal("jacobi", (), jacobi, Tensor.zeros(1, 3, alg.dim))
     return report
@@ -170,7 +170,7 @@ def covariant_derivative(conn: Connection, t: Tensor) -> Tensor:
     terms = [(minus_t, j, corrections) for j in range(t.arity)]
     if t.contra:
         terms.append((t, t.arity, conn.gamma.lines(1, prefix=1)))
-    return Tensor.from_dict(t.contra, t.arity + 1, n, contract(*terms))
+    return Tensor.from_ints(t.contra, t.arity + 1, n, *contract(*terms))
 
 
 def covariant_derivative_vector(conn: Connection, v: Vector) -> Tensor:
@@ -196,5 +196,5 @@ def lie_derivative_covector(alg: LieAlgebra, xi: Vector, eta: Tensor) -> Tensor:
     if eta.contra != 0 or eta.arity != 1:
         raise ShapeError("need a one-form")
     eta_bracket = contract((alg.bracket, 2, eta.lines(0)))  # eta([e_a, e_x])
-    inner = Matrix.from_dict((alg.dim, alg.dim), eta_bracket)
-    return Tensor.from_dict(0, 1, alg.dim, contract((-inner, 0, xi.lines(0))))
+    inner = Matrix.from_ints((alg.dim, alg.dim), *eta_bracket)
+    return Tensor.from_ints(0, 1, alg.dim, *contract((-inner, 0, xi.lines(0))))

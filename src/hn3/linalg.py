@@ -1,171 +1,183 @@
 """Sparse exact linear algebra over the rationals.
 
 Vectors, matrices and the tensors of ``hn3.tensor`` share one storage,
-``Array``: only the nonzero entries are kept, in ``comps``, a dict from
-0-based index tuples to Fractions, next to the array's ``shape``.  The
-entrywise arithmetic, equality and hashing are written once, on that
-dict.  Every product of two arrays in the package runs in one of two
-places here, and multiplies their stored nonzeros only: ``contract``,
-which sums over one shared index (matrix products, slot contractions,
-covariant derivatives, Jacobi sums), and ``outer``, the tensor product
-with no summed index.  ``contract`` sums exactly in Python ints: each
-output entry keeps an integer numerator over a common denominator while
-its products arrive, and is reduced to a Fraction once, at the end.
+``Array``: only the nonzero entries are kept, as integer numerators in
+``comps`` over one positive ``den`` per array (only this module reads
+it), next to the array's ``shape``.  Fractions appear only in the
+constructors, ``__getitem__`` and ``nonzero``.  All arithmetic is written
+once, in ints.  Every product of two arrays runs in ``contract``, which
+sums over one shared index (matrix products, slot contractions, covariant
+derivatives, Jacobi sums), or ``outer``, the tensor product; both multiply
+stored nonzeros only and reduce once per output array.
 
 Matrices act on column vectors, so column ``j`` of an operator holds the
 image of the ``j``-th basis vector; entry ``(i, j)`` is keyed ``(i, j)``.
 Only ``inverse``, ``rank`` and ``signature`` expand a matrix into dense
-rows, for elimination.  Every routine is exact; there is no pivot-size
-heuristic anywhere because there is no rounding to fight.
+rows of numerators, for fraction-free (Bareiss) elimination.  There is
+no pivot-size heuristic anywhere because there is no rounding to fight.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import ShapeError, SingularMatrixError, SymmetryError
-from .rational import ONE, ZERO, as_scalar, from_ratio, split
+from .rational import ZERO, as_scalar, from_ratio, reduced, split, to_ints
 
 
-def accumulate(acc: dict, key, value) -> None:
-    """Add ``value`` into ``acc[key]``; a new key stores ``value`` itself, adding nothing."""
-    old = acc.get(key)
-    acc[key] = value if old is None else old + value
-
-
-def contract(*terms: tuple[Array, int, dict]) -> dict:
-    """Sum over one index per term; each output entry is reduced once.
+def contract(*terms: tuple[Array, int, tuple[int, dict]]) -> tuple[dict, int]:
+    """Sum over one index per term, in ints; returns the canonical ``(comps, den)``.
 
     A term ``(t, pos, lines)`` sums over the index in slot ``pos`` of
     ``t``: each stored ``t[head, m, tail]`` meets every ``(prefix, infix,
-    p, q)`` in ``lines[m]`` (as ``Array.lines`` groups them) and adds
-    ``p/q * t[..]`` at ``prefix + head + infix + tail``.  Only stored
-    nonzeros on both sides are multiplied, in ints: an output entry keeps
-    a numerator over a denominator, which stays while a product's matches
-    and becomes the lcm otherwise.  The result maps each key to its one
-    reduced Fraction; a key whose terms cancel is left out.
+    p)`` in group ``m`` of ``lines`` (as ``Array.lines`` builds them) and
+    adds ``p * t[..]`` at ``prefix + head + infix + tail``.  Each term is
+    scaled to the common denominator once, so every product adds as an int.
     """
+    common = lcm(*(t.den * den for t, _, (den, _) in terms))
     acc: dict = {}
-    for t, pos, lines in terms:
+    get = acc.get
+    for t, pos, (den, groups) in terms:
+        scale = common // (t.den * den)
         for idx, v in t.comps.items():
-            group = lines.get(idx[pos])
+            group = groups.get(idx[pos])
             if group is None:
                 continue
-            vp, vq = split(v)
+            v *= scale
             head, tail = idx[:pos], idx[pos + 1:]
-            for prefix, infix, p, q in group:
+            for prefix, infix, p in group:
                 key = prefix + head + infix + tail
-                p *= vp
-                q *= vq
-                entry = acc.get(key)
-                if entry is None:
-                    acc[key] = [p, q]
-                elif entry[1] == q:
-                    entry[0] += p
-                else:
-                    g = gcd(entry[1], q)
-                    entry[0] = entry[0] * (q // g) + p * (entry[1] // g)
-                    entry[1] *= q // g
-    return {key: from_ratio(p, q) for key, (p, q) in acc.items() if p}
+                acc[key] = get(key, 0) + p * v
+    return reduced(acc, common)
 
 
-def outer(left: Array, right: Array) -> dict:
-    """Components of the tensor product: ``left[i] * right[j]`` at ``i + j``."""
-    return {i + j: a * b for i, a in left.comps.items() for j, b in right.comps.items()}
+def outer(left: Array, right: Array) -> tuple[dict, int]:
+    """Numerators and denominator of the tensor product: ``left[i] * right[j]`` at ``i + j``."""
+    # only one side's numerators and the other's denominator share factors
+    gl, gr = gcd(right.den, *left.comps.values()), gcd(left.den, *right.comps.values())
+    ls = [(i, a // gl) for i, a in left.comps.items()]
+    rs = [(j, b // gr) for j, b in right.comps.items()]
+    return {i + j: a * b for i, a in ls for j, b in rs}, left.den // gr * (right.den // gl)
 
 
 class Array:
     """Exact array that stores only its nonzero entries.
 
-    ``comps`` maps 0-based index tuples to nonzero Fractions and ``shape``
-    gives the range of each index.  No zero is ever stored, so two arrays
-    of one kind are equal exactly when their dicts are.  A subclass whose
-    kind is more than its class and shape (a tensor's valence) extends
-    ``_kind`` and ``_like``.
+    ``comps`` maps 0-based index tuples to nonzero integer numerators over
+    one positive ``den``; ``shape`` gives the range of each index.  The form
+    is canonical (``rational.reduced``), so arrays of one kind are equal
+    exactly when their dicts and ``den`` are.  A subclass whose kind is more
+    than its class and shape (a tensor's valence) extends ``_kind``/``_like``.
     """
 
-    __slots__ = ("shape", "comps", "_lines")
+    __slots__ = ("shape", "comps", "den", "_lines")
 
     @classmethod
-    def from_dict(cls, shape: tuple[int, ...], comps: dict):
-        """Array from ``{idx: Fraction}``; zero values are dropped, keys are trusted."""
+    def from_ints(cls, shape: tuple[int, ...], comps: dict, den: int):
+        """Array holding ``comps[idx] / den``; the pair must be canonical, keys are trusted."""
         out = object.__new__(cls)
-        out.shape = shape
-        out.comps = {idx: v for idx, v in comps.items() if v}
+        out.shape, out.comps, out.den = shape, comps, den
         return out
+
+    @classmethod
+    def from_dict(cls, *kind_and_comps):
+        """``from_ints`` with ``{idx: Fraction}`` for the pair; zeros are dropped, keys trusted."""
+        *kind, comps = kind_and_comps
+        return cls.from_ints(*kind, *to_ints(comps))
 
     def _kind(self) -> tuple:
         """What two arrays must share to be added, subtracted or equal."""
         return type(self).__name__, self.shape
 
-    def _like(self, comps: dict):
-        """An array of the same kind holding ``comps``."""
-        return type(self).from_dict(self.shape, comps)
-
-    def _match(self, other: Array) -> None:
-        if self._kind() != other._kind():
-            raise ShapeError(f"cannot combine {self._kind()} with {other._kind()}")
+    def _like(self, comps: dict, den: int):
+        """An array of the same kind holding ``comps / den``."""
+        return type(self).from_ints(self.shape, comps, den)
 
     def __getitem__(self, idx) -> Fraction:
         key = idx if isinstance(idx, tuple) else (idx,)
         if len(key) != len(self.shape):
             raise ShapeError(f"expected {len(self.shape)} indices, got {len(key)}")
-        return self.comps.get(key, ZERO)
+        v = self.comps.get(key)
+        return ZERO if v is None else from_ratio(v, self.den)
 
-    def __add__(self, other: Array):
-        self._match(other)
-        out = dict(self.comps)
-        for idx, v in other.comps.items():
-            accumulate(out, idx, v)
-        return self._like(out)
+    def __add__(self, other: Array, sign: int = 1):
+        if self._kind() != other._kind():
+            raise ShapeError(f"cannot combine {self._kind()} with {other._kind()}")
+        p, q = self.den, other.den
+        g = gcd(p, q)
+        fa, fb = q // g, p // g * sign
+        out = dict(self.comps) if fa == 1 else {k: v * fa for k, v in self.comps.items()}
+        for k, v in other.comps.items():
+            out[k] = out.get(k, 0) + v * fb
+        return self._like(*reduced(out, p * fa))
 
     def __sub__(self, other: Array):
-        return self + -other
+        return self.__add__(other, -1)
 
     def __neg__(self):
-        return self._like({idx: -v for idx, v in self.comps.items()})
+        return self._like({idx: -v for idx, v in self.comps.items()}, self.den)
 
     def __mul__(self, scalar):
-        s = as_scalar(scalar)
-        return self._like({idx: v * s for idx, v in self.comps.items()} if s else {})
+        p, q = (scalar, 1) if type(scalar) is int else split(as_scalar(scalar))
+        if not p:
+            return self._like({}, 1)
+        # a = gcd(p, den) and b = gcd(q, numerators) are the only factors to cancel
+        a, b = gcd(p, self.den), gcd(q, *self.comps.values())
+        p, q = p // a, q // b
+        return self._like({k: v // b * p for k, v in self.comps.items()}, self.den // a * q)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Array):
             return NotImplemented
-        return self._kind() == other._kind() and self.comps == other.comps
+        return (self._kind(), self.den, self.comps) == (other._kind(), other.den, other.comps)
 
     def __hash__(self):
-        return hash((self._kind(), frozenset(self.comps.items())))
+        return hash((self._kind(), self.den, frozenset(self.comps.items())))
 
     def is_zero(self) -> bool:
         return not self.comps
 
-    def lines(self, axis: int, prefix: int = 0) -> dict[int, list]:
-        """Nonzeros grouped by their index on ``axis``, ready for ``contract``.
+    def differs_at(self, other: Array) -> set:
+        """The positions where two arrays of one shape differ, whatever their kinds."""
+        if self.shape != other.shape:
+            raise ShapeError(f"cannot compare shapes {self.shape} and {other.shape}")
+        a, p, b, q = self.comps, self.den, other.comps, other.den
+        return {k for k in a.keys() | b.keys() if a.get(k, 0) * q != b.get(k, 0) * p}
 
-        Each group ``m`` lists ``(prefix, infix, p, q)`` for the entries
-        with index ``m`` on ``axis``: the other indices in order, the first
-        ``prefix`` (at most ``axis``) of them split off, then the value
-        ``p/q`` as ints.  ``comps`` never changes after construction, so
-        each grouping is built once per array.
+    def permuted(self, order: Sequence[int]) -> tuple[dict, int]:
+        """Numerators rekeyed to ``(idx[order[0]], idx[order[1]], ..)``, and the same ``den``."""
+        # the identity, the only order of one slot, where itemgetter returns no tuple
+        if list(order) == list(range(len(order))):
+            return self.comps, self.den
+        key = itemgetter(*order)
+        return {key(idx): v for idx, v in self.comps.items()}, self.den
+
+    def lines(self, axis: int, prefix: int = 0) -> tuple[int, dict[int, list]]:
+        """The denominator, and the nonzeros grouped by their index on ``axis``, for ``contract``.
+
+        Group ``m`` lists ``(prefix, infix, p)`` for the entries with index
+        ``m`` on ``axis``: the other indices, the first ``prefix`` (at most
+        ``axis``) of them split off, and the numerator.  Built once per array.
         """
         if not hasattr(self, "_lines"):
             self._lines = {}
         out = self._lines.get((axis, prefix))
         if out is None:
-            out = self._lines[axis, prefix] = {}
-            for idx, a in self.comps.items():
+            groups: dict = {}
+            for idx, v in self.comps.items():
                 infix = idx[prefix:axis] + idx[axis + 1:]
-                out.setdefault(idx[axis], []).append((idx[:prefix], infix, *split(a)))
+                groups.setdefault(idx[axis], []).append((idx[:prefix], infix, v))
+            out = self._lines[axis, prefix] = self.den, groups
         return out
 
     def nonzero(self):
         """Yield ``(idx, value)`` for every nonzero entry, 0-based, row-major."""
-        yield from sorted(self.comps.items())
+        yield from ((idx, from_ratio(v, self.den)) for idx, v in sorted(self.comps.items()))
 
     def entries_1based(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Sorted nonzero entries with 1-based indices, for display."""
@@ -181,27 +193,26 @@ class Vector(Array):
 
     __slots__ = ()
 
-    def __init__(self, entries: Iterable):
+    def __new__(cls, entries: Iterable):
         values = [as_scalar(e) for e in entries]
         if not values:
             raise ShapeError("empty vector")
-        self.shape = (len(values),)
-        self.comps = {(i,): v for i, v in enumerate(values) if v}
+        return cls.from_dict((len(values),), {(i,): v for i, v in enumerate(values)})
 
     @classmethod
     def zero(cls, n: int) -> Vector:
-        return cls.from_dict((n,), {})
+        return cls.from_ints((n,), {}, 1)
 
     @classmethod
     def basis(cls, n: int, i: int) -> Vector:
         """The ``i``-th standard basis vector (0-based) in dimension ``n``."""
-        return cls.from_dict((n,), {(i,): ONE})
+        return cls.from_ints((n,), {(i,): 1}, 1)
 
     def __len__(self) -> int:
         return self.shape[0]
 
     def __iter__(self):
-        return (self.comps.get((i,), ZERO) for i in range(self.shape[0]))
+        return (self[i] for i in range(self.shape[0]))
 
 
 class Matrix(Array):
@@ -209,16 +220,14 @@ class Matrix(Array):
 
     __slots__ = ()
 
-    def __init__(self, rows: Iterable[Iterable]):
+    def __new__(cls, rows: Iterable[Iterable]):
         dense = [[as_scalar(e) for e in row] for row in rows]
         if not dense:
             raise ShapeError("empty matrix")
         if any(len(row) != len(dense[0]) for row in dense):
             raise ShapeError("ragged rows")
-        self.shape = (len(dense), len(dense[0]))
-        self.comps = {
-            (i, j): a for i, row in enumerate(dense) for j, a in enumerate(row) if a
-        }
+        values = {(i, j): a for i, row in enumerate(dense) for j, a in enumerate(row)}
+        return cls.from_dict((len(dense), len(dense[0])), values)
 
     @property
     def rows(self) -> int:
@@ -230,11 +239,11 @@ class Matrix(Array):
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        return cls.from_dict((n, n), {(i, i): ONE for i in range(n)})
+        return cls.from_ints((n, n), {(i, i): 1 for i in range(n)}, 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> Matrix:
-        return cls.from_dict((rows, rows if cols is None else cols), {})
+        return cls.from_ints((rows, rows if cols is None else cols), {}, 1)
 
     @classmethod
     def diagonal(cls, values: Sequence) -> Matrix:
@@ -244,97 +253,79 @@ class Matrix(Array):
     @classmethod
     def outer(cls, u: Array, w: Array) -> Matrix:
         """Rank-one ``u wᵀ`` of two vectors or one-forms; entry (i, j) is ``u[i]·w[j]``."""
-        return cls.from_dict((u.shape[0], w.shape[0]), outer(u, w))
+        return cls.from_ints((u.shape[0], w.shape[0]), *outer(u, w))
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        return Matrix.from_dict((self.rows, other.cols), contract((self, 1, other.lines(0))))
+        return Matrix.from_ints((self.rows, other.cols), *contract((self, 1, other.lines(0))))
 
     def apply(self, v: Array) -> Vector:
         """``self v`` for a vector, or the components of a one-form, of length ``cols``."""
         if v.shape != (self.cols,):
             raise ShapeError(f"cannot apply {self.shape} to an array of shape {v.shape}")
-        return Vector.from_dict((self.rows,), contract((self, 1, v.lines(0))))
+        return Vector.from_ints((self.rows,), *contract((self, 1, v.lines(0))))
 
     def transpose(self) -> Matrix:
-        return Matrix.from_dict(
-            (self.cols, self.rows), {(j, i): a for (i, j), a in self.comps.items()}
-        )
+        return Matrix.from_ints((self.cols, self.rows), *self.permuted((1, 0)))
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.comps.get((j, i)) == a for (i, j), a in self.comps.items()
-        )
+        return self.rows == self.cols and self.permuted((1, 0))[0] == self.comps
 
-    def _dense_rows(self) -> list[list[Fraction]]:
-        return [
-            [self.comps.get((i, j), ZERO) for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
+    def _dense_rows(self) -> list[list[int]]:  # numerators only
+        return [[self.comps.get((i, j), 0) for j in range(self.cols)] for i in range(self.rows)]
 
     def inverse(self) -> Matrix:
-        """Exact inverse by Gauss-Jordan elimination."""
+        """Exact inverse by fraction-free Gauss-Jordan elimination."""
         if self.rows != self.cols:
             raise ShapeError("only square matrices have inverses")
         n = self.rows
-        aug = [
-            row + [ONE if i == j else ZERO for j in range(n)]
-            for i, row in enumerate(self._dense_rows())
-        ]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            d = aug[col][col]
-            aug[col] = [x / d for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return Matrix(row[n:] for row in aug)
+        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self._dense_rows())]
+        pivots, d = _eliminate(aug, n)
+        if pivots < n:
+            raise SingularMatrixError("matrix is singular")
+        # aug is [d I | d N^-1] for the numerators N, and the inverse is den N^-1
+        sign = self.den if d > 0 else -self.den
+        inv = {(i, j): sign * x for i, row in enumerate(aug) for j, x in enumerate(row[n:])}
+        return Matrix.from_ints((n, n), *reduced(inv, abs(d)))
 
     def rank(self) -> int:
-        a = self._dense_rows()
-        pivots = 0
-        for col in range(self.cols):
-            pivot = next((r for r in range(pivots, self.rows) if a[r][col] != 0), None)
-            if pivot is None:
-                continue
-            a[pivots], a[pivot] = a[pivot], a[pivots]
-            d = a[pivots][col]
-            for r in range(self.rows):
-                if r != pivots and a[r][col] != 0:
-                    f = a[r][col] / d
-                    a[r] = [x - f * y for x, y in zip(a[r], a[pivots])]
-            pivots += 1
-        return pivots
+        return _eliminate(self._dense_rows(), self.cols)[0]
+
+
+def _eliminate(rows: list[list[int]], cols: int) -> tuple[int, int]:
+    """In-place Bareiss Gauss-Jordan on the first ``cols`` columns: (pivot count, last pivot)."""
+    pivots, prev = 0, 1
+    for col in range(cols):
+        pivot = next((r for r in range(pivots, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[pivots], rows[pivot] = rows[pivot], rows[pivots]
+        d, pivot_row = rows[pivots][col], rows[pivots]
+        for r in range(len(rows)):
+            if r != pivots:
+                f = rows[r][col]
+                rows[r] = [(d * x - f * y) // prev for x, y in zip(rows[r], pivot_row)]
+        pivots, prev = pivots + 1, d
+    return pivots, prev
 
 
 def signature(m: Matrix) -> tuple[int, int, int]:
     """Sylvester signature (positive, negative, zero) of a symmetric matrix.
 
-    Symmetric congruence diagonalization: simultaneous row/column
-    operations preserve the signature, and every step stays rational.
-    When the whole active diagonal vanishes, a nonzero off-diagonal entry
-    spans a hyperbolic pair; adding its partner row and column produces a
-    nonzero diagonal pivot.
+    Fraction-free symmetric congruence diagonalization: after each pivot the
+    active block holds the pivot ``prev`` times the Schur complement, so the
+    next true pivot has the sign of ``d * prev``.  When the whole active
+    diagonal vanishes, a nonzero off-diagonal entry spans a hyperbolic pair;
+    adding its partner row and column produces a nonzero diagonal pivot.
     """
     if m.rows != m.cols:
         raise ShapeError("signature needs a square matrix")
     if not m.is_symmetric():
         raise SymmetryError("signature needs a symmetric matrix")
     n = m.rows
-    a = m._dense_rows()
-    pos = neg = zero = 0
-
-    def add_sym(i: int, j: int, f: Fraction) -> None:
-        # row_i += f * row_j, then the same on columns
-        for c in range(n):
-            a[i][c] += f * a[j][c]
-        for r in range(n):
-            a[r][i] += f * a[r][j]
+    a = m._dense_rows()  # the positive denominator keeps every sign
+    neg, zero, prev = 0, 0, 1
 
     def swap_sym(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
@@ -347,23 +338,24 @@ def signature(m: Matrix) -> tuple[int, int, int]:
             if pivot is not None:
                 swap_sym(k, pivot)
             else:
-                pair = next(
-                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
-                    None,
-                )
+                pairs = ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0)
+                pair = next(pairs, None)
                 if pair is None:
                     zero += n - k
                     break
                 i, j = pair
-                add_sym(i, j, ONE)  # a[i][i] becomes 2*a[i][j] != 0
+                # row_i += row_j, then the same on columns: a[i][i] becomes 2*a[i][j] != 0
+                a[i] = [x + y for x, y in zip(a[i], a[j])]
+                for r in range(n):
+                    a[r][i] += a[r][j]
                 if i != k:
                     swap_sym(k, i)
-        d = a[k][k]
+        d, pivot_row = a[k][k], a[k]
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                add_sym(i, k, -a[i][k] / d)
-        if d > 0:
-            pos += 1
-        else:
+            f = a[i][k]
+            rest = zip(a[i][k + 1:], pivot_row[k + 1:])
+            a[i][k + 1:] = [(d * x - f * y) // prev for x, y in rest]
+        if d * prev < 0:
             neg += 1
-    return pos, neg, zero
+        prev = d
+    return n - neg - zero, neg, zero

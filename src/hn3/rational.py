@@ -3,12 +3,13 @@
 Every numeric quantity in this package is a ``fractions.Fraction``:
 arbitrary-precision numerator, positive denominator, always reduced.
 Nothing in the core ever rounds, so equality checks are meaningful at
-tolerance zero.  ``split`` and ``from_ratio`` are the one place a scalar
-is taken apart into Python ints and put back together; the contraction
-kernel in ``hn3.linalg`` sums in those ints.
+tolerance zero.  The arrays of ``hn3.linalg`` hold integer numerators
+over one denominator; ``to_ints``, ``reduced``, ``split`` and
+``from_ratio`` are the one boundary between those ints and Fractions.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Scalar = Fraction
 
@@ -52,6 +53,18 @@ def split(value: Fraction) -> tuple[int, int]:
 def from_ratio(numerator: int, denominator: int) -> Fraction:
     """The reduced scalar ``numerator / denominator``, for a positive denominator."""
     return Fraction(numerator, denominator)
+
+
+def to_ints(values: dict) -> tuple[dict, int]:
+    """``{key: Fraction}`` as numerators over their lcm denominator (canonical), zeros dropped."""
+    den = lcm(*(v.denominator for v in values.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items() if v}, den
+
+
+def reduced(nums: dict, den: int) -> tuple[dict, int]:
+    """Canonical form of ``nums / den``: zeros dropped, gcd(den, *nums) = 1, den 1 when empty."""
+    g = gcd(den, *nums.values())
+    return {k: v // g for k, v in nums.items() if v}, den // g
 
 
 def format_scalar(value: int | str | Fraction) -> str:

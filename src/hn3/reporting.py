@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ShapeError
-from .rational import ZERO, as_scalar, format_scalar
+from .rational import as_scalar, format_scalar
 
 TensorEntries = tuple[tuple[tuple[int, ...], Fraction], ...]
 
@@ -61,15 +60,13 @@ class Report:
         """
         if isinstance(identity, str):
             identity, rhs = (identity,), (rhs,)
-        for r in rhs:
-            if r.shape != lhs.shape:
-                raise ShapeError(f"cannot compare shapes {lhs.shape} and {r.shape}")
-        left, rights = lhs.comps, [r.comps for r in rhs]
-        # entries that are zero on every side satisfy every identity
-        for pos in sorted(set(left).union(*rights)):
+        # compared exactly in ints; both sides become Fractions only where they differ
+        failing = [lhs.differs_at(r) for r in rhs]
+        for pos in sorted(set().union(*failing)):
             idx = index_prefix + tuple(i + 1 for i in pos)
-            for name, other in zip(identity, rights):
-                self.require(name, idx, left.get(pos, ZERO), other.get(pos, ZERO))
+            for name, r, bad in zip(identity, rhs, failing):
+                if pos in bad:
+                    self.violations.append(Violation(name, idx, lhs[pos], r[pos]))
 
     def attach_tensor(self, name: str, t) -> None:
         self.tensors[name] = tuple(t.entries_1based())

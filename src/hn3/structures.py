@@ -255,15 +255,15 @@ def build_product(h: HN3Manifold, validate: bool = True) -> ProductExtension:
     if validate:
         require_valid(h)
     n = h.dim
-    ext_g = Matrix.from_dict((n + 1, n + 1), {**h.metric.comps, (n, n): -ONE})
-    ext_bracket = Tensor.from_dict(1, 2, n + 1, h.mla.algebra.bracket.comps)
+    ext_g = Matrix.from_dict((n + 1, n + 1), {**dict(h.metric.nonzero()), (n, n): -ONE})
+    ext_bracket = Tensor.from_dict(1, 2, n + 1, dict(h.mla.algebra.bracket.nonzero()))
     ext_mla = MetricLieAlgebra(LieAlgebra(n + 1, ext_bracket), ext_g)
     js = []
     for a in (1, 2, 3):
         # phi_a, with -xi_a in the new last column and eta_a in the new last row
-        comps = dict(h.phi(a).comps)
-        comps.update({(i, n): -x for (i,), x in h.xi(a).comps.items()})
-        comps.update({(n, i): x for (i,), x in h.eta(a).comps.items()})
+        comps = dict(h.phi(a).nonzero())
+        comps.update({(i, n): -x for (i,), x in h.xi(a).nonzero()})
+        comps.update({(n, i): x for (i,), x in h.eta(a).nonzero()})
         js.append(Matrix.from_dict((n + 1, n + 1), comps))
     return ProductExtension(h, ext_mla, tuple(js))
 

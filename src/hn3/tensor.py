@@ -35,15 +35,15 @@ from .rational import SIXTH, ZERO, as_scalar
 class Tensor(Array):
     """Sparse exact tensor of valence ``(contra, arity)`` on an n-dimensional frame.
 
-    Storage, arithmetic and equality come from ``Array``: ``comps`` holds
-    the nonzero components only, so two tensors of one valence are equal
-    exactly when their dicts are, and ``nonzero`` yields the entries in
-    row-major order.
+    Storage, arithmetic and equality come from ``Array``: only the nonzero
+    components are stored, in canonical integer form, so two tensors of one
+    valence are equal exactly when their stored forms are, and ``nonzero``
+    yields the entries, as Fractions, in row-major order.
     """
 
     __slots__ = ("contra",)
 
-    def __init__(self, contra: int, arity: int, dim: int, comps):
+    def __new__(cls, contra: int, arity: int, dim: int, comps):
         """Build from all ``dim ** (contra + arity)`` components in row-major order."""
         if contra not in (0, 1):
             raise ShapeError("contra must be 0 or 1")
@@ -54,15 +54,13 @@ class Tensor(Array):
             raise ShapeError(
                 f"expected {dim ** (arity + contra)} components, got {len(values)}"
             )
-        self.contra = contra
-        self.shape = (dim,) * (arity + contra)
         positions = itertools.product(range(dim), repeat=arity + contra)
-        self.comps = {idx: v for idx, v in zip(positions, values) if v}
+        return cls.from_dict(contra, arity, dim, dict(zip(positions, values)))
 
     @classmethod
-    def from_dict(cls, contra: int, arity: int, dim: int, comps: dict) -> Tensor:
-        """Tensor from ``{idx: Fraction}``; zero values are dropped, keys are trusted."""
-        t = super().from_dict((dim,) * (arity + contra), comps)
+    def from_ints(cls, contra: int, arity: int, dim: int, comps: dict, den: int) -> Tensor:
+        """Tensor holding ``comps[idx] / den``; the pair must be canonical, keys are trusted."""
+        t = super().from_ints((dim,) * (arity + contra), comps, den)
         t.contra = contra
         return t
 
@@ -80,7 +78,7 @@ class Tensor(Array):
 
     @classmethod
     def zeros(cls, contra: int, arity: int, dim: int) -> Tensor:
-        return cls.from_dict(contra, arity, dim, {})
+        return cls.from_ints(contra, arity, dim, {}, 1)
 
     @classmethod
     def build(cls, contra: int, arity: int, dim: int, fn: Callable) -> Tensor:
@@ -95,15 +93,15 @@ class Tensor(Array):
     def _kind(self) -> tuple:
         return "Tensor", self.contra, self.shape
 
-    def _like(self, comps: dict) -> Tensor:
-        return Tensor.from_dict(self.contra, self.arity, self.dim, comps)
+    def _like(self, comps: dict, den: int) -> Tensor:
+        return Tensor.from_ints(self.contra, self.arity, self.dim, comps, den)
 
     def value_at(self, *vectors: Vector) -> Fraction | Vector:
         """Multilinear evaluation on argument vectors (mostly for tests)."""
         if len(vectors) != self.arity:
             raise ShapeError(f"expected {self.arity} vectors, got {len(vectors)}")
         out = [ZERO] * self.dim
-        for idx, value in self.comps.items():
+        for idx, value in self.nonzero():
             for v, i in zip(vectors, idx):
                 value *= v[i]
             out[idx[-1] if self.contra else 0] += value
@@ -125,20 +123,20 @@ def tensor_from_operator(m: Matrix) -> Tensor:
     """View an endomorphism matrix as a (1,1) tensor: ``t[j, k] = (m e_j)^k``."""
     if m.rows != m.cols:
         raise ShapeError("operator must be square")
-    return Tensor.from_dict(1, 1, m.rows, {(j, k): a for (k, j), a in m.comps.items()})
+    return Tensor.from_ints(1, 1, m.rows, *m.permuted((1, 0)))
 
 
 def operator_from_tensor(t: Tensor) -> Matrix:
     if (t.contra, t.arity) != (1, 1):
         raise ShapeError("need a (1,1) tensor")
-    return Matrix.from_dict(t.shape, {(k, j): a for (j, k), a in t.comps.items()})
+    return Matrix.from_ints(t.shape, *t.permuted((1, 0)))
 
 
 def metric_tensor(g: Matrix) -> Tensor:
     """View a metric matrix as a (0,2) tensor."""
     if g.rows != g.cols:
         raise ShapeError("metric must be square")
-    return Tensor.from_dict(0, 2, g.rows, g.comps)
+    return Tensor.from_ints(0, 2, g.rows, *g.permuted((0, 1)))
 
 
 def covector(entries) -> Tensor:
@@ -153,7 +151,7 @@ def lower(t: Tensor, g: Matrix) -> Tensor:
         raise ShapeError("lower needs a vector-valued tensor")
     _check_operator(g, t.dim)
     # out(x.., z) = sum_m t(x..)^m g[m, z]
-    return Tensor.from_dict(0, t.arity + 1, t.dim, contract((t, t.arity, g.lines(0))))
+    return Tensor.from_ints(0, t.arity + 1, t.dim, *contract((t, t.arity, g.lines(0))))
 
 
 def raise_last(t: Tensor, g_inv: Matrix) -> Tensor:
@@ -162,19 +160,15 @@ def raise_last(t: Tensor, g_inv: Matrix) -> Tensor:
         raise ShapeError("raise_last needs a (0,s) tensor with s >= 2")
     _check_operator(g_inv, t.dim)
     # out(x..)^k = sum_m t(x.., m) g_inv[m, k]
-    return Tensor.from_dict(1, t.arity - 1, t.dim, contract((t, t.arity - 1, g_inv.lines(0))))
+    return Tensor.from_ints(1, t.arity - 1, t.dim, *contract((t, t.arity - 1, g_inv.lines(0))))
 
 
 def permute_args(t: Tensor, perm: tuple[int, ...]) -> Tensor:
     """Rearrange argument slots: ``out[idx] = t[idx[perm[0]], idx[perm[1]], ..]``."""
     if sorted(perm) != list(range(t.arity)):
         raise ShapeError(f"perm must rearrange {t.arity} argument slots")
-    # the stored index s lands where out[perm[j]] = s[j]
-    where = [perm.index(p) for p in range(t.arity)]
-    n = t.arity
-    return t._like(
-        {tuple(s[j] for j in where) + s[n:]: v for s, v in t.comps.items()}
-    )
+    # the stored index s lands where out[perm[j]] = s[j]; the output slot stays
+    return t._like(*t.permuted([perm.index(p) for p in range(t.arity)] + [t.arity] * t.contra))
 
 
 def swap_args(t: Tensor, a: int, b: int) -> Tensor:
@@ -189,7 +183,7 @@ def precompose(t: Tensor, op: Matrix, slot: int) -> Tensor:
         raise ShapeError(f"slot {slot} out of range for arity {t.arity}")
     _check_operator(op, t.dim)
     # out[.., i, ..] = sum_m op[m, i] t[.., m, ..]
-    return t._like(contract((t, slot, op.lines(0))))
+    return t._like(*contract((t, slot, op.lines(0))))
 
 
 def postcompose(t: Tensor, op: Matrix) -> Tensor:
@@ -198,7 +192,7 @@ def postcompose(t: Tensor, op: Matrix) -> Tensor:
         raise ShapeError("postcompose needs a vector-valued tensor")
     _check_operator(op, t.dim)
     # out(x..)^k = sum_m op[k, m] t(x..)^m
-    return t._like(contract((t, t.arity, op.lines(1))))
+    return t._like(*contract((t, t.arity, op.lines(1))))
 
 
 def contract_arg_with_vector(t: Tensor, v: Vector, slot: int) -> Tensor:
@@ -209,7 +203,7 @@ def contract_arg_with_vector(t: Tensor, v: Vector, slot: int) -> Tensor:
         raise ShapeError("vector dimension mismatch")
     if t.arity == 1 and t.contra == 0:
         raise ShapeError("contraction would leave no slots")
-    return Tensor.from_dict(t.contra, t.arity - 1, t.dim, contract((t, slot, v.lines(0))))
+    return Tensor.from_ints(t.contra, t.arity - 1, t.dim, *contract((t, slot, v.lines(0))))
 
 
 def tensor_product(a: Tensor, b: Tensor) -> Tensor:
@@ -218,7 +212,7 @@ def tensor_product(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("tensor_product combines two (0,s) tensors")
     if a.dim != b.dim:
         raise ShapeError("dimension mismatch")
-    return Tensor.from_dict(0, a.arity + b.arity, a.dim, outer(a, b))
+    return Tensor.from_ints(0, a.arity + b.arity, a.dim, *outer(a, b))
 
 
 def times_vector(t: Tensor, v: Vector) -> Tensor:
@@ -227,7 +221,7 @@ def times_vector(t: Tensor, v: Vector) -> Tensor:
         raise ShapeError("times_vector needs a (0,s) tensor")
     if len(v) != t.dim:
         raise ShapeError("dimension mismatch")
-    return Tensor.from_dict(1, t.arity, t.dim, outer(t, v))
+    return Tensor.from_ints(1, t.arity, t.dim, *outer(t, v))
 
 
 def cyclic_sum(t: Tensor) -> Tensor:

@@ -105,13 +105,19 @@ class TestSchemaErrors:
             parse_structure(data)
 
     def test_antisymmetry_partners(self, data):
-        # both orientations present, second one not negated
-        data["brackets"] = [
-            {"i": 1, "j": 2, "k": 7, "value": "2"},
-            {"i": 2, "j": 1, "k": 7, "value": "2"},
+        cases = [
+            # both orientations present, second one not negated
+            ([{"i": 1, "j": 2, "k": 7, "value": "2"}, {"i": 2, "j": 1, "k": 7, "value": "2"}],
+             "/brackets/1", "are not antisymmetric partners"),
+            # a bracket of a frame vector with itself
+            ([{"i": 2, "j": 2, "k": 1, "value": "3"}],
+             "/brackets/0", "[e_2, e_2] = 0 requires the value 0"),
         ]
-        with pytest.raises(StructureFileError, match="not antisymmetric"):
-            parse_structure(data)
+        for brackets, path, says in cases:
+            data["brackets"] = brackets
+            with pytest.raises(StructureFileError, match="not antisymmetric") as e:
+                parse_structure(data)
+            assert e.value.path == path and says in str(e.value)
 
     def test_wrong_structure_count(self, data):
         data["structures"] = data["structures"][:2]

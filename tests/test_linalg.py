@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hn3 import Matrix, Vector, signature
+from hn3.linalg import contract
 from hn3.errors import ShapeError, SingularMatrixError, SymmetryError
-from hn3.tensor import Tensor, covector, precompose
+from hn3.tensor import Tensor, covector, cyclic_sum, permute_args, precompose
 
 rationals = st.builds(
     Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=6)
@@ -111,34 +112,57 @@ class TestMatrix:
             z + Matrix.zeros(3, 2)
 
     def test_groupings_are_built_once_per_array(self):
-        m = Matrix([[1, 0, 2], [0, 3, 0]])
+        m = Matrix([[1, 0, 2], [0, Fraction(3, 2), 0]])
         assert m.lines(0) is m.lines(0)
         assert m.lines(1) is m.lines(1) and m.lines(1) is not m.lines(0)
         assert m.lines(1, prefix=1) is not m.lines(1)
-        # (prefix, infix, numerator, denominator) per entry
-        assert m.lines(1) == {
-            0: [((), (0,), 1, 1)], 1: [((), (1,), 3, 1)], 2: [((), (0,), 2, 1)]
-        }
+        # the array's denominator once, then (prefix, infix, numerator) per entry
+        assert m.lines(1) == (
+            2, {0: [((), (0,), 2)], 1: [((), (1,), 3)], 2: [((), (0,), 4)]}
+        )
 
-    def test_contraction_builds_one_fraction_per_output_entry(self, monkeypatch):
-        # dense factors with unlike denominators: each of the 27 output
-        # entries sums three products in ints and is reduced once
+    def test_tensor_arithmetic_does_no_fraction_work(self, monkeypatch):
+        # dense factors with unlike denominators: every kernel and entrywise
+        # operation runs on integer numerators, so no Fraction is built,
+        # multiplied, added, subtracted, negated or divided
         t = Tensor(0, 3, 3, [Fraction(i - 13, i % 4 + 2) for i in range(27)])
+        u = Tensor(0, 3, 3, [Fraction(5 - i, i % 5 + 3) for i in range(27)])
         op = Matrix([[Fraction(i + 2 * j - 3, j + 2) for j in range(3)] for i in range(3)])
-        built = Counter()
-        for name in ("__new__", "__mul__", "__rmul__", "__add__", "__radd__"):
+        op.lines(0)
+        work = Counter()
+        for name in ("__new__", "__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                     "__rsub__", "__neg__", "__truediv__", "__rtruediv__"):
             original = getattr(Fraction, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
-                built[_name] += 1
+                work[_name] += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(Fraction, name, counting)
         out = precompose(t, op, 0)
+        results = (t + u, t - u, t * 3, -2 * u, cyclic_sum(t), permute_args(u, (2, 0, 1)))
         monkeypatch.undo()
-        assert built == Counter({"__new__": 27})
+        assert work == Counter()
         assert out == Tensor.build(0, 3, 3, lambda i, y, z: sum(
             (op[m, i] * t[m, y, z] for m in range(3)), Fraction(0)))
+        assert results == (
+            Tensor.build(0, 3, 3, lambda *i: t[i] + u[i]),
+            Tensor.build(0, 3, 3, lambda *i: t[i] - u[i]),
+            Tensor.build(0, 3, 3, lambda *i: 3 * t[i]),
+            Tensor.build(0, 3, 3, lambda *i: -2 * u[i]),
+            Tensor.build(0, 3, 3, lambda x, y, z: t[x, y, z] + t[y, z, x] + t[z, x, y]),
+            Tensor.build(0, 3, 3, lambda x, y, z: u[z, x, y]),
+        )
+
+    def test_one_sum_takes_terms_with_unlike_denominators(self):
+        # each term is scaled once to the common denominator of all terms
+        a = Matrix([[Fraction(1, 3), 0], [Fraction(2, 5), 1]])
+        b = Matrix([[Fraction(1, 7), Fraction(-1, 3)], [0, 2]])
+        v, w = Vector([Fraction(1, 2), Fraction(3, 4)]), Vector([Fraction(-5, 6), 1])
+        both = Vector.from_ints((2,), *contract((a, 1, v.lines(0)), (b, 1, w.lines(0))))
+        assert both == a.apply(v) + b.apply(w)
+        assert both == Vector([Fraction(1, 6) - Fraction(5, 42) - Fraction(1, 3),
+                               Fraction(1, 5) + Fraction(3, 4) + 2])
 
     def test_vector_is_not_a_one_form(self):
         assert Vector([1, 0]) != covector([1, 0])

@@ -39,8 +39,8 @@ def _get_or_zero(node) -> bool:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_sums_go_through_accumulate(path):
-    # ``acc.get(key, ZERO) + v`` adds v to a zero on every new key;
-    # ``linalg.accumulate`` stores v itself instead
+    # ``acc.get(key, ZERO) + v`` adds v to a zero Fraction on every new
+    # key; sums run on integer numerators in ``hn3.linalg`` instead
     tree = ast.parse(path.read_text(encoding="utf-8"))
     offending = [
         node.lineno
@@ -80,16 +80,14 @@ def test_only_rational_splits_fractions():
     assert readers == {"rational.py"}
 
 
-def test_only_linalg_accumulates():
-    # every product of stored nonzeros runs in ``linalg.contract`` or
-    # ``linalg.outer``; a multiply-accumulate loop elsewhere would need
-    # ``accumulate``
-    users = {
+def test_only_linalg_reads_denominators():
+    # an array keeps integer numerators over one denominator ``den``; all
+    # arithmetic on that pair, sums and products alike, stays in ``hn3.linalg``
+    # and every other module sees Fractions or whole arrays
+    readers = {
         path.name
         for path in PACKAGE.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.Name) and node.id == "accumulate")
-        or (isinstance(node, ast.Attribute) and node.attr == "accumulate")
-        or (isinstance(node, ast.alias) and node.name == "accumulate")
+        if isinstance(node, ast.Attribute) and node.attr == "den"
     }
-    assert users == {"linalg.py"}
+    assert readers == {"linalg.py"}

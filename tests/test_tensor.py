@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -366,10 +367,16 @@ def matrices(dim: int = DIM):
     return st.lists(half_zero(dim), min_size=dim, max_size=dim).map(Matrix)
 
 
+def assert_canonical(t: Tensor):
+    """One positive denominator sharing no factor with every numerator; no zero stored."""
+    assert t.den > 0 and gcd(t.den, *t.comps.values()) == 1
+    assert 0 not in t.comps.values()
+
+
 def assert_canonical_equal(sparse: Tensor, dense: Tensor):
-    """Same tensor, no stored zero, and nonzeros listed row-major."""
+    """Same tensor, in canonical form, and nonzeros listed row-major."""
     assert sparse == dense
-    assert 0 not in sparse.comps.values()
+    assert_canonical(sparse)
     assert sum(1 for c in sparse.comps if c) == len(list(sparse.nonzero()))
     every = itertools.product(range(sparse.dim), repeat=sparse.nslots)
     assert list(sparse.nonzero()) == [(idx, sparse[idx]) for idx in every if sparse[idx]]
@@ -437,6 +444,19 @@ class TestSparseKernels:
         assert (s - s).comps == {}
         assert (s * 0).comps == {}
 
+    @given(sparse_tensors(0, 3), sparse_tensors(0, 3), nonzero_rationals)
+    @example(
+        a=stored(0, 3, {0: Fraction(1, BIG_P), 5: Fraction(-2, 3), 26: Fraction(7, BIG_Q)}),
+        b=stored(0, 3, {0: Fraction(-1, BIG_P), 5: Fraction(5, 6), 13: Fraction(1, BIG_P * 9)}),
+        s=Fraction(BIG_Q, 2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_round_trips_keep_the_canonical_form(self, a, b, s):
+        for t in (a, b, a + b, a - b, -a, a * s, (a + b) - b, (a * s) * (1 / s)):
+            assert_canonical(t)
+        assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+        assert (a * s) * (1 / s) == a and hash((a * s) * (1 / s)) == hash(a)
+
     @given(sparse_tensors(1, 2), sparse_tensors(0, 2), sparse_tensors(1, 1), half_zero())
     @example(
         gamma=stored(1, 2, {0: Fraction(1, BIG_P), 3: Fraction(-1, BIG_Q),
@@ -485,12 +505,15 @@ class TestSparseKernels:
 
 class TestCanonicalForm:
     def test_dense_constructor_stores_nonzeros_only(self):
+        # integer numerators over one denominator; the values read back as Fractions
         t = Tensor(0, 2, 2, [0, Fraction(3, 2), 0, "0/5"])
-        assert t.comps == {(0, 1): Fraction(3, 2)}
-        assert Tensor.zeros(1, 2, 3).comps == {}
-        assert Tensor.from_dict(0, 1, 2, {(0,): Fraction(0), (1,): Fraction(1)}).comps == {
-            (1,): 1
-        }
+        assert (t.comps, t.den) == ({(0, 1): 3}, 2) and t[0, 1] == Fraction(3, 2)
+        z = Tensor.zeros(1, 2, 3)
+        assert (z.comps, z.den) == ({}, 1)
+        u = Tensor.from_dict(0, 1, 2, {(0,): Fraction(0), (1,): Fraction(1)})
+        assert (u.comps, u.den) == ({(1,): 1}, 1)
+        v = Tensor(0, 1, 3, [Fraction(1, 6), Fraction(-1, 4), Fraction(2, 3)])
+        assert (v.comps, v.den) == ({(0,): 2, (1,): -3, (2,): 8}, 12)
 
     def test_cancellation_leaves_nothing_stored(self):
         h = builtin_example(2)
