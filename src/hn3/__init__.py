@@ -2,6 +2,8 @@
 metrics on Lie algebras, and of their natural connections with totally
 skew-symmetric torsion.  All arithmetic is rational and exact."""
 
+from types import ModuleType as _ModuleType
+
 from .builtin import builtin_example, flat_example
 from .connections import (
     Coincidence,
@@ -75,7 +77,6 @@ from .structures import (
 )
 from .tensor import (
     Tensor,
-    alternation,
     covector,
     cyclic_sum,
     is_three_form,
@@ -88,4 +89,8 @@ from .tensor import (
     wedge_1_2,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are attributes of the package as well, but not part of its API
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -31,7 +31,6 @@ from .errors import (
     ValidationError,
 )
 from .fileio import dump_structure, load_structure
-from .linalg import signature
 from .nijenhuis import (
     associated_nijenhuis,
     fundamental_tensor,
@@ -242,7 +241,7 @@ def _cmd_product(h: HN3Manifold, args) -> tuple[int, list[Report]]:
 def _cmd_example(h: HN3Manifold, args) -> tuple[int, list[Report]]:
     report = Report("built-in example")
     report.findings["dimension"] = str(h.dim)
-    report.findings["metric_signature"] = "({},{},{})".format(*signature(h.metric))
+    report.findings["metric_signature"] = "({},{},{})".format(*h.mla.metric_signature)
     report.attach_tensor("brackets", h.mla.algebra.bracket)
     if args.emit:
         try:

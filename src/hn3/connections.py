@@ -55,26 +55,33 @@ from .tensor import (
 def class_condition_alpha1(h: HN3Manifold, fund: Tensor | None = None) -> bool:
     """Whether the first structure admits a natural connection with 3-form torsion.
 
-    ``fund`` defaults to the memoized F_1, whose verdict is kept per manifold.
+    ``fund`` defaults to the memoized F_1; for it, or for that very tensor,
+    the verdict is the one kept per manifold.  Any other tensor is evaluated.
     """
-    if fund is None:
+    if fund is None or fund is fundamental_tensor.stored(h, 1):
         return in_skew_torsion_class(h, 1)
-    phi = h.phi(1)
-    a = precompose(fund, phi, 0)
-    b = precompose(fund, phi, 2)
-    return (a + permute_args(a, (1, 0, 2)) + b + permute_args(b, (1, 0, 2))).is_zero()
+    return _reflection_identity_holds(h, fund)
 
 
 def class_condition_alpha23(h: HN3Manifold, alpha: int, fund: Tensor | None = None) -> bool:
     """Same admissibility for the Norden-type structures: cyclic-free F, Killing Reeb.
 
-    ``fund`` defaults to the memoized F_alpha, whose verdict is kept per manifold.
+    ``fund`` defaults to the memoized F_alpha; for it, or for that very
+    tensor, the verdict is the one kept per manifold.  Any other tensor is
+    evaluated.
     """
     if alpha not in (2, 3):
         raise ValueError("this condition applies to the second and third structures")
-    if fund is None:
+    if fund is None or fund is fundamental_tensor.stored(h, alpha):
         return in_skew_torsion_class(h, alpha)
     return cyclic_sum(fund).is_zero() and metric_lie_derivative(h, alpha).is_zero()
+
+
+def _reflection_identity_holds(h: HN3Manifold, fund: Tensor) -> bool:
+    phi = h.phi(1)
+    a = precompose(fund, phi, 0)
+    b = precompose(fund, phi, 2)
+    return (a + permute_args(a, (1, 0, 2)) + b + permute_args(b, (1, 0, 2))).is_zero()
 
 
 @derived
@@ -87,7 +94,7 @@ def cyclic_sum_vanishes(h: HN3Manifold, alpha: int) -> bool:
 def in_skew_torsion_class(h: HN3Manifold, alpha: int) -> bool:
     """The class condition of one structure, decided once per manifold."""
     if alpha == 1:
-        return class_condition_alpha1(h, fundamental_tensor(h, 1))
+        return _reflection_identity_holds(h, fundamental_tensor(h, 1))
     return cyclic_sum_vanishes(h, alpha) and metric_lie_derivative(h, alpha).is_zero()
 
 

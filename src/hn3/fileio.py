@@ -11,7 +11,8 @@ A structure file is a JSON object with four keys:
   "eta"}`` with alpha in {1, 2, 3} and epsilon the fixed character of
   that slot.
 
-Scalars are strings ``"p/q"`` (or ``"p"``) or plain JSON integers; floats
+Scalars are strings ``"p/q"``, ``"p"`` or decimals such as ``"-1.5"``, or
+plain JSON integers (``hn3.rational.as_scalar`` gives the grammar); floats
 are rejected to keep everything exact, and so is exponent notation.
 ``load_structure`` gates the parsed manifold with ``structures.require_valid``,
 whose validator reports are kept on the manifold, so later gates reuse them;
@@ -52,12 +53,7 @@ def _index_at(value, dim: int, path: str) -> int:
 def _matrix_at(data, dim: int, path: str) -> Matrix:
     if not isinstance(data, list) or len(data) != dim:
         raise StructureFileError(f"expected {dim} rows", path)
-    rows = []
-    for r, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != dim:
-            raise StructureFileError(f"expected {dim} entries", f"{path}/{r}")
-        rows.append([_scalar_at(v, f"{path}/{r}/{c}") for c, v in enumerate(row)])
-    return Matrix(rows)
+    return Matrix([_vector_at(row, dim, f"{path}/{r}") for r, row in enumerate(data)])
 
 
 def _vector_at(data, dim: int, path: str) -> list[Fraction]:

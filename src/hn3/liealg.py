@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ShapeError
-from .linalg import Matrix, Vector, contract
-from .rational import HALF, ZERO, as_scalar
+from .linalg import Matrix, Vector, contract, signature
+from .rational import HALF, as_scalar
 from .reporting import Report
 from .tensor import Tensor, lower
 from . import tensor as tz
@@ -59,12 +59,6 @@ class LieAlgebra:
     def abelian(cls, dim: int) -> LieAlgebra:
         return cls(dim, Tensor.zeros(1, 2, dim))
 
-    def bracket_vectors(self, x: Vector, y: Vector) -> Vector:
-        out = [ZERO] * self.dim
-        for (i, j, k), value in self.bracket.nonzero():
-            out[k] += value * x[i] * y[j]
-        return Vector(out)
-
 
 def validate_lie_algebra(alg: LieAlgebra) -> Report:
     """Report antisymmetry and Jacobi violations, one line per failed tuple."""
@@ -104,7 +98,8 @@ class MetricLieAlgebra:
     """Lie algebra with a (pseudo-)metric on the frame.
 
     Treated as immutable; the Levi-Civita connection, its symmetric
-    braces, and the inverse metric are computed once and cached.
+    braces, the inverse metric and its signature are computed once and
+    cached.
     """
 
     algebra: LieAlgebra
@@ -121,6 +116,11 @@ class MetricLieAlgebra:
     @cached_property
     def metric_inverse(self) -> Matrix:
         return self.metric.inverse()
+
+    @cached_property
+    def metric_signature(self) -> tuple[int, int, int]:
+        """Sylvester signature of the metric; raises unless it is symmetric."""
+        return signature(self.metric)
 
     @cached_property
     def levi_civita(self) -> Connection:
@@ -149,7 +149,8 @@ def validate_metric(mla: MetricLieAlgebra) -> Report:
         for j in range(i + 1, n):
             report.require("symmetry", (i + 1, j + 1), g[i, j], g[j, i])
     if g.is_symmetric():
-        report.require("nondegeneracy (rank = dim)", (), g.rank(), n)
+        plus, minus, _ = mla.metric_signature
+        report.require("nondegeneracy (rank = dim)", (), plus + minus, n)
     return report
 
 

@@ -18,14 +18,16 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 MINUS_HALF = Fraction(-1, 2)
 QUARTER = Fraction(1, 4)
-SIXTH = Fraction(1, 6)
 
 
 def as_scalar(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a string like ``"p/q"``, or a Fraction to a Fraction.
 
     Floats are refused: they carry rounding by construction and would
-    silently poison exact results.  So are strings in exponent notation.
+    silently poison exact results.  A string is read as ``Fraction`` reads
+    it on Python 3.10, on every interpreter: an optional sign, decimal
+    digits, then ``/`` and digits or a decimal point and digits, with
+    blanks only at either end.  Exponent notation is refused.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
@@ -34,13 +36,19 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        # exponent notation is refused: "1e10000000" would cost time and
-        # memory exponential in the length of the string
-        if "e" in value or "E" in value:
-            raise ValueError(f"not a rational number: {value!r}")
+        text = value.strip()
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+            # a plain integer, the common case, skips the regex of Fraction(str)
+            if text.isdecimal() or (text[:1] == "-" and text[1:].isdecimal()):
+                return Fraction(int(text))
+            # refused whatever this interpreter's Fraction reads: "1e10000000"
+            # would cost time and memory exponential in the length of the
+            # string, and Fraction reads underscores from Python 3.11 on and
+            # blanks around "/" from 3.12 on
+            if "_" in text or "e" in text or "E" in text or len(text.split()) > 1:
+                raise ValueError(text)
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:  # also int()'s digit limit
             raise ValueError(f"not a rational number: {value!r}") from exc
     raise TypeError(f"exact scalar expected, got {type(value).__name__}")
 

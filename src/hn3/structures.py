@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import wraps
 
 from .errors import ShapeError, ValidationError
-from .linalg import Matrix, Vector, signature
+from .linalg import Matrix, Vector
 from .liealg import LieAlgebra, MetricLieAlgebra, validate_lie_algebra, validate_metric
 from .rational import ONE, ZERO
 from .reporting import Report
@@ -119,6 +119,8 @@ def derived(build: Callable) -> Callable:
     The result lives in the manifold's memo under ``(build, *alpha)``; a call
     that raises stores nothing.  A build first reads its structure through
     ``HN3Manifold.structure``, which refuses numbers outside 1, 2, 3.
+    ``memoized.stored(h, *alpha)`` reads the memo without building: the
+    result, or None.
     """
 
     @wraps(build)
@@ -128,6 +130,10 @@ def derived(build: Callable) -> Callable:
             h._memo[key] = build(h, *alpha)
         return h._memo[key]
 
+    def stored(h: HN3Manifold, *alpha: int):
+        return h._memo.get((build, *alpha))
+
+    memoized.stored = stored
     return memoized
 
 
@@ -195,9 +201,8 @@ def validate_hn_metric(h: HN3Manifold) -> Report:
         report.require_equal(f"eta{a} duality", (a,), eta, gxi * -eps)
         norm = sum((xi[i] * gxi[i] for i in range(n)), ZERO)
         report.require(f"xi{a} square norm", (a,), norm, -eps)
-    sig = signature(g) if g.is_symmetric() else None
-    if sig is not None:
-        report.findings["metric_signature"] = f"({sig[0]},{sig[1]},{sig[2]})"
+    if g.is_symmetric():
+        report.findings["metric_signature"] = "({},{},{})".format(*h.mla.metric_signature)
     return report
 
 
@@ -245,9 +250,9 @@ class ProductExtension:
         """``J_alpha``; raises ``ValueError`` outside 1, 2, 3."""
         return self.j_ops[_position(alpha)]
 
-    @cached_property
+    @property
     def metric_signature(self) -> tuple[int, int, int]:
-        return signature(self.mla.metric)
+        return self.mla.metric_signature
 
 
 def build_product(h: HN3Manifold, validate: bool = True) -> ProductExtension:

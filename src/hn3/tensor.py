@@ -24,12 +24,10 @@ Conventions
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
-from fractions import Fraction
 
 from .errors import ShapeError, SymmetryError
 from .linalg import Array, Matrix, Vector, contract, outer
-from .rational import SIXTH, ZERO, as_scalar
+from .rational import as_scalar
 
 
 class Tensor(Array):
@@ -80,35 +78,11 @@ class Tensor(Array):
     def zeros(cls, contra: int, arity: int, dim: int) -> Tensor:
         return cls.from_ints(contra, arity, dim, {}, 1)
 
-    @classmethod
-    def build(cls, contra: int, arity: int, dim: int, fn: Callable) -> Tensor:
-        """Fill components from ``fn(*idx)`` over all 0-based index tuples."""
-        return cls(
-            contra,
-            arity,
-            dim,
-            [fn(*idx) for idx in itertools.product(range(dim), repeat=arity + contra)],
-        )
-
     def _kind(self) -> tuple:
         return "Tensor", self.contra, self.shape
 
     def _like(self, comps: dict, den: int) -> Tensor:
         return Tensor.from_ints(self.contra, self.arity, self.dim, comps, den)
-
-    def value_at(self, *vectors: Vector) -> Fraction | Vector:
-        """Multilinear evaluation on argument vectors (mostly for tests)."""
-        if len(vectors) != self.arity:
-            raise ShapeError(f"expected {self.arity} vectors, got {len(vectors)}")
-        out = [ZERO] * self.dim
-        for idx, value in self.nonzero():
-            for v, i in zip(vectors, idx):
-                value *= v[i]
-            out[idx[-1] if self.contra else 0] += value
-        return Vector(out) if self.contra else out[0]
-
-    def symmetric_in(self, a: int, b: int) -> bool:
-        return self == swap_args(self, a, b)
 
     def antisymmetric_in(self, a: int, b: int) -> bool:
         return self == -swap_args(self, a, b)
@@ -229,12 +203,6 @@ def cyclic_sum(t: Tensor) -> Tensor:
     if t.arity != 3:
         raise ShapeError("cyclic_sum needs three argument slots")
     return t + permute_args(t, (1, 2, 0)) + permute_args(t, (2, 0, 1))
-
-
-def alternation(t: Tensor) -> Tensor:
-    """Full antisymmetrization (with the 1/3! factor) of a (0,3) tensor; the
-    cyclic shifts of ``t(y, x, z)`` are exactly the three odd permutations."""
-    return (cyclic_sum(t) - cyclic_sum(swap_args(t, 0, 1))) * SIXTH
 
 
 def is_three_form(t: Tensor) -> bool:

@@ -35,6 +35,7 @@ from hn3.builtin import DIM, standard_metric, standard_structures
 from hn3.liealg import LieAlgebra, MetricLieAlgebra
 from hn3.structures import HN3Manifold
 from hn3.tensor import Tensor
+from oracle import build
 
 # The parameter family used wherever a test wants "several" inputs.
 # Every built-in component is a degree <= 1 polynomial in the parameter,
@@ -137,7 +138,7 @@ def form_from_seeds(dim: int, arity: int, seeds: dict, closure) -> Tensor:
         for jdx, w in closure(idx, Fraction(val)):
             assert full.get(jdx, w) == w, f"inconsistent closure at {jdx}"
             full[jdx] = w
-    return Tensor.build(
+    return build(
         0, arity, dim,
         lambda *i: full.get(tuple(a + 1 for a in i), Fraction(0)),
     )

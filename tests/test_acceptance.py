@@ -43,6 +43,7 @@ from hn3 import (
 )
 from hn3.structures import EPSILONS
 from hn3.tensor import Tensor, cyclic_sum, is_three_form, lower, permute_args
+from oracle import build
 
 CANONICAL = (Fraction(1), Fraction(2), Fraction(-3))
 
@@ -78,7 +79,7 @@ def expected_gamma(lam: Fraction) -> Tensor:
     data = {
         (i - 1, j - 1, k - 1): u * half for (i, j, k), u in KOSZUL_UNITS.items()
     }
-    return Tensor.build(1, 2, 7, lambda *idx: data.get(idx, Fraction(0)))
+    return build(1, 2, 7, lambda *idx: data.get(idx, Fraction(0)))
 
 
 def expected_f(alpha: int, lam: Fraction) -> Tensor:

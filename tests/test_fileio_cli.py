@@ -245,11 +245,12 @@ class TestCLI:
         self, tmp_path, capsys, monkeypatch
     ):
         # parsing costs time in proportion to the file, not to the declared
-        # dimension: no tensor is filled componentwise before the metric fails
+        # dimension: the dense constructor, which takes every component, does
+        # not run before the metric fails
         def refuse(*args):
             raise AssertionError("dense tensor built while parsing")
 
-        monkeypatch.setattr(Tensor, "build", classmethod(refuse))
+        monkeypatch.setattr(Tensor, "__new__", staticmethod(refuse))
         p = tmp_path / "big.json"
         p.write_text(json.dumps({
             "dimension": 50,

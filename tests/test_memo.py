@@ -21,7 +21,9 @@ import hn3
 from hn3 import (
     HN3Manifold,
     LieAlgebra,
+    Matrix,
     MetricLieAlgebra,
+    Tensor,
     ValidationError,
     associated_nijenhuis,
     build_product,
@@ -33,14 +35,16 @@ from hn3 import (
     exterior_d_eta,
     fundamental_tensor,
     hat_components,
+    in_skew_torsion_class,
     load_structure,
     metric_lie_derivative,
     natural_connection,
     nijenhuis_tensor,
     structure_torsion,
+    validate_hypercomplex_hn,
     validation_reports,
 )
-from hn3 import connections, nijenhuis, structures
+from hn3 import connections, liealg, nijenhuis, structures
 from hn3.cli import run
 
 ONCE_EACH = Counter({(1,): 1, (2,): 1, (3,): 1})
@@ -125,6 +129,25 @@ def test_pipeline_computes_each_object_once(calls):
         assert stored[built] == ONCE_EACH, built
 
 
+def test_each_class_condition_is_evaluated_once(monkeypatch):
+    runs = Counter()
+    count_calls(monkeypatch, runs, connections, "_reflection_identity_holds")
+    count_calls(monkeypatch, runs, connections, "cyclic_sum")
+    h = builtin_example(2)
+    classify(h)
+    # the verdicts for the memoized F_a are the ones structure_torsion reads
+    assert all(in_skew_torsion_class(h, a) for a in (1, 2, 3))
+    assert runs == Counter({"_reflection_identity_holds": 1, "cyclic_sum": 2})
+    # an equal tensor that is not the memoized one is evaluated as given
+    assert class_condition_alpha1(h, fundamental_tensor(h, 1) * 1)
+    assert class_condition_alpha23(h, 2, fundamental_tensor(h, 2) * 1)
+    assert runs == Counter({"_reflection_identity_holds": 2, "cyclic_sum": 3})
+    # and telling the two apart builds no F_a
+    fresh = counting_manifold()
+    assert class_condition_alpha1(fresh, Tensor.zeros(0, 3, fresh.dim))
+    assert "fundamental_tensor" not in fresh._memo.stored
+
+
 def test_coincidence_reuses_the_classified_associated_tensors(calls):
     h = builtin_example(2)
     classify(h)
@@ -189,6 +212,21 @@ def test_each_validator_runs_once_per_manifold(monkeypatch, tmp_path):
     assert all(r.passed for r in validation_reports(h))
     assert runs == Counter(dict.fromkeys(VALIDATORS, 1))
     assert h._memo.stored["validation_reports"] == Counter({(): 1})
+
+
+def test_one_elimination_of_each_metric(monkeypatch, tmp_path, capsys):
+    # the signature decides nondegeneracy too, so rank never runs; the base
+    # and the extended metric are each diagonalized once
+    runs = Counter()
+    count_calls(monkeypatch, runs, Matrix, "rank")
+    count_calls(monkeypatch, runs, liealg, "signature")
+    path = tmp_path / "example.json"
+    dump_structure(builtin_example(2), path)
+    p = build_product(load_structure(path))
+    assert validate_hypercomplex_hn(p).passed
+    assert runs == Counter({"signature": 2})
+    assert run(["example", "--json"]) == 0
+    assert runs == Counter({"signature": 3})
 
 
 def test_product_refuses_a_base_failing_only_jacobi():

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import hn3
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hn3"
 # __init__.py imports names in order to re-export them
@@ -40,7 +43,9 @@ def _get_or_zero(node) -> bool:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_sums_go_through_accumulate(path):
     # ``acc.get(key, ZERO) + v`` adds v to a zero Fraction on every new
-    # key; sums run on integer numerators in ``hn3.linalg`` instead
+    # key; sums run on integer numerators in ``hn3.linalg`` (``contract``
+    # and ``Array.__add__``) instead.  The name is that of the helper that
+    # once held every such sum.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     offending = [
         node.lineno
@@ -91,3 +96,13 @@ def test_only_linalg_reads_denominators():
         if isinstance(node, ast.Attribute) and node.attr == "den"
     }
     assert readers == {"linalg.py"}
+
+
+def test_public_names_are_the_api():
+    # ``from hn3 import *`` binds no submodule, and the dense references the
+    # tests use (tests/oracle.py) are not part of the library
+    assert [n for n in hn3.__all__ if isinstance(getattr(hn3, n), types.ModuleType)] == []
+    moved = {"build", "value_at", "symmetric_in", "bracket_vectors", "alternation", "SIXTH"}
+    assert moved.isdisjoint(hn3.__all__)
+    owners = (hn3.Tensor, hn3.LieAlgebra, hn3.tensor, hn3.liealg, hn3.rational)
+    assert [(o.__name__, n) for o in owners for n in moved if hasattr(o, n)] == []
