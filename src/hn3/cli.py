@@ -165,10 +165,9 @@ def _cmd_classify(h: HN3Manifold, args) -> tuple[int, list[Report]]:
     report = Report("skew-torsion admissibility")
     report.findings["structure1_reflection_identity"] = class_condition_alpha1(h)
     for a in (2, 3):
-        report.findings[f"structure{a}_cyclic_sum_vanishes"] = cyclic_sum_vanishes(h, a)
-        report.findings[f"structure{a}_reeb_killing"] = metric_lie_derivative(
-            h, a
-        ).is_zero()
+        fund = fundamental_tensor(h, a)
+        report.findings[f"structure{a}_cyclic_sum_vanishes"] = cyclic_sum_vanishes(h, fund)
+        report.findings[f"structure{a}_reeb_killing"] = metric_lie_derivative(h, a).is_zero()
         report.findings[f"structure{a}_class_condition"] = class_condition_alpha23(h, a)
     for a in (1, 2, 3):
         report.findings[f"structure{a}_associated_nijenhuis_vanishes"] = (

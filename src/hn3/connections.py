@@ -55,28 +55,23 @@ from .tensor import (
 def class_condition_alpha1(h: HN3Manifold, fund: Tensor | None = None) -> bool:
     """Whether the first structure admits a natural connection with 3-form torsion.
 
-    ``fund`` defaults to the memoized F_1; for it, or for that very tensor,
-    the verdict is the one kept per manifold.  Any other tensor is evaluated.
+    ``fund`` defaults to the memoized F_1; the verdict is kept per tensor value.
     """
-    if fund is None or fund is fundamental_tensor.stored(h, 1):
-        return in_skew_torsion_class(h, 1)
-    return _reflection_identity_holds(h, fund)
+    return _reflection_identity_holds(h, fundamental_tensor(h, 1) if fund is None else fund)
 
 
 def class_condition_alpha23(h: HN3Manifold, alpha: int, fund: Tensor | None = None) -> bool:
     """Same admissibility for the Norden-type structures: cyclic-free F, Killing Reeb.
 
-    ``fund`` defaults to the memoized F_alpha; for it, or for that very
-    tensor, the verdict is the one kept per manifold.  Any other tensor is
-    evaluated.
+    ``fund`` defaults to the memoized F_alpha; the cyclic-sum verdict is kept per tensor value.
     """
     if alpha not in (2, 3):
         raise ValueError("this condition applies to the second and third structures")
-    if fund is None or fund is fundamental_tensor.stored(h, alpha):
-        return in_skew_torsion_class(h, alpha)
-    return cyclic_sum(fund).is_zero() and metric_lie_derivative(h, alpha).is_zero()
+    f = fundamental_tensor(h, alpha) if fund is None else fund
+    return cyclic_sum_vanishes(h, f) and metric_lie_derivative(h, alpha).is_zero()
 
 
+@derived
 def _reflection_identity_holds(h: HN3Manifold, fund: Tensor) -> bool:
     phi = h.phi(1)
     a = precompose(fund, phi, 0)
@@ -85,17 +80,15 @@ def _reflection_identity_holds(h: HN3Manifold, fund: Tensor) -> bool:
 
 
 @derived
-def cyclic_sum_vanishes(h: HN3Manifold, alpha: int) -> bool:
-    """Whether the cyclic sum of F_alpha vanishes, decided once per manifold."""
-    return cyclic_sum(fundamental_tensor(h, alpha)).is_zero()
+def cyclic_sum_vanishes(h: HN3Manifold, fund: Tensor) -> bool:
+    """Whether the cyclic sum of a (0,3) tensor vanishes, decided once per manifold and value."""
+    return cyclic_sum(fund).is_zero()
 
 
-@derived
 def in_skew_torsion_class(h: HN3Manifold, alpha: int) -> bool:
-    """The class condition of one structure, decided once per manifold."""
-    if alpha == 1:
-        return _reflection_identity_holds(h, fundamental_tensor(h, 1))
-    return cyclic_sum_vanishes(h, alpha) and metric_lie_derivative(h, alpha).is_zero()
+    """The class condition of one structure, read from the memoized verdicts."""
+    h.structure(alpha)  # refuses numbers outside 1, 2, 3
+    return class_condition_alpha1(h) if alpha == 1 else class_condition_alpha23(h, alpha)
 
 
 def torsion_alpha1_via_forms(h: HN3Manifold) -> Tensor:
@@ -168,22 +161,16 @@ def natural_connection(
 ) -> NaturalConnection:
     """Build ``D = LC + torsion/2`` and re-derive the torsion as a consistency check.
 
-    Without ``torsion``, or with the structure's own torsion as returned by
-    ``structure_torsion``, the connection is built once per manifold; any
-    other torsion gets a connection of its own.
+    ``torsion`` defaults to ``structure_torsion(h, alpha)``; the connection is
+    built once per structure and torsion value, so equal torsions share it.
     """
     t = structure_torsion(h, alpha) if torsion is None else torsion
-    if t is _torsion(h, alpha):
-        return _natural_connection(h, alpha)
     return _connection_with_torsion(h, alpha, t)
 
 
 @derived
-def _natural_connection(h: HN3Manifold, alpha: int) -> NaturalConnection:
-    return _connection_with_torsion(h, alpha, _torsion(h, alpha))
-
-
 def _connection_with_torsion(h: HN3Manifold, alpha: int, t: Tensor) -> NaturalConnection:
+    h.structure(alpha)  # refuses numbers outside 1, 2, 3
     if not is_three_form(t):
         raise SymmetryError("torsion must be totally skew-symmetric")
     gamma = h.mla.levi_civita.gamma + raise_last(t, h.mla.metric_inverse) * HALF
@@ -270,7 +257,7 @@ def coincidence_check(h: HN3Manifold, force: bool = False) -> Coincidence:
     pairs = ((1, 2), (1, 3), (2, 3))
     torsions_equal = {(a, b): torsions[a] == torsions[b] for a, b in pairs}
     if all(is_three_form(t) for t in torsions.values()):
-        conns = {a: _natural_connection(h, a) for a in (1, 2, 3)}
+        conns = {a: natural_connection(h, a, torsions[a]) for a in (1, 2, 3)}
         connections_equal = {
             (a, b): conns[a].connection.gamma == conns[b].connection.gamma
             for a, b in pairs

@@ -145,9 +145,9 @@ def validate_metric(mla: MetricLieAlgebra) -> Report:
     report = Report("metric")
     g = mla.metric
     n = mla.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            report.require("symmetry", (i + 1, j + 1), g[i, j], g[j, i])
+    # only a pair with a nonzero on either side can fail
+    for i, j in sorted((i, j) for i, j in g.differs_at(g.transpose()) if i < j):
+        report.require("symmetry", (i + 1, j + 1), g[i, j], g[j, i])
     if g.is_symmetric():
         plus, minus, _ = mla.metric_signature
         report.require("nondegeneracy (rank = dim)", (), plus + minus, n)

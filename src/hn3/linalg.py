@@ -8,7 +8,7 @@ constructors, ``__getitem__`` and ``nonzero``.  All arithmetic is written
 once, in ints.  Every product of two arrays runs in ``contract``, which
 sums over one shared index (matrix products, slot contractions, covariant
 derivatives, Jacobi sums), or ``outer``, the tensor product; both multiply
-stored nonzeros only and reduce once per output array.
+nonzero entries only and reduce once per output array.
 
 Matrices act on column vectors, so column ``j`` of an operator holds the
 image of the ``j``-th basis vector; entry ``(i, j)`` is keyed ``(i, j)``.
@@ -32,7 +32,7 @@ def contract(*terms: tuple[Array, int, tuple[int, dict]]) -> tuple[dict, int]:
     """Sum over one index per term, in ints; returns the canonical ``(comps, den)``.
 
     A term ``(t, pos, lines)`` sums over the index in slot ``pos`` of
-    ``t``: each stored ``t[head, m, tail]`` meets every ``(prefix, infix,
+    ``t``: each nonzero ``t[head, m, tail]`` meets every ``(prefix, infix,
     p)`` in group ``m`` of ``lines`` (as ``Array.lines`` builds them) and
     adds ``p * t[..]`` at ``prefix + head + infix + tail``.  Each term is
     scaled to the common denominator once, so every product adds as an int.
@@ -303,8 +303,9 @@ def _eliminate(rows: list[list[int]], cols: int) -> tuple[int, int]:
         rows[pivots], rows[pivot] = rows[pivot], rows[pivots]
         d, pivot_row = rows[pivots][col], rows[pivots]
         for r in range(len(rows)):
-            if r != pivots:
-                f = rows[r][col]
+            f = rows[r][col]
+            # with f = 0 and d = prev the update gives the row back unchanged
+            if r != pivots and (f or d != prev):
                 rows[r] = [(d * x - f * y) // prev for x, y in zip(rows[r], pivot_row)]
         pivots, prev = pivots + 1, d
     return pivots, prev

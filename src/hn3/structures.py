@@ -114,26 +114,22 @@ class HN3Manifold:
 
 
 def derived(build: Callable) -> Callable:
-    """Make ``build(h)`` run once per manifold, or ``build(h, alpha)`` once per structure.
+    """Make ``build(h, *args)`` run once per manifold and argument values.
 
-    The result lives in the manifold's memo under ``(build, *alpha)``; a call
-    that raises stores nothing.  A build first reads its structure through
-    ``HN3Manifold.structure``, which refuses numbers outside 1, 2, 3.
-    ``memoized.stored(h, *alpha)`` reads the memo without building: the
-    result, or None.
+    The result lives in the manifold's memo, freed with it, under ``(build,
+    *args)``.  Structure numbers and arrays compare and hash by value, so
+    equal arguments share one entry; a call that raises keeps nothing.  A
+    build reads a structure number through ``HN3Manifold.structure``, which
+    refuses numbers outside 1, 2, 3.
     """
 
     @wraps(build)
-    def memoized(h: HN3Manifold, *alpha: int):
-        key = (build, *alpha)
+    def memoized(h: HN3Manifold, *args):
+        key = (build, *args)
         if key not in h._memo:
-            h._memo[key] = build(h, *alpha)
+            h._memo[key] = build(h, *args)
         return h._memo[key]
 
-    def stored(h: HN3Manifold, *alpha: int):
-        return h._memo.get((build, *alpha))
-
-    memoized.stored = stored
     return memoized
 
 
@@ -173,7 +169,7 @@ def validate_ac3(h: HN3Manifold) -> Report:
                 f"eta{a}.phi{b}", (a, b), eta_phi,
                 h.eta(c) * e if a != b else Vector.zero(n),
             )
-            pairing = sum((h.eta(a)[m] * h.xi(b)[m] for m in range(n)), ZERO)
+            pairing = sum((x * h.xi(b)[m] for (m,), x in h.eta(a).nonzero()), ZERO)
             report.require(
                 f"eta{a}(xi{b})", (a, b), pairing, ONE if a == b else ZERO
             )
@@ -189,7 +185,6 @@ def validate_hn_metric(h: HN3Manifold) -> Report:
     """
     report = Report("Hermitian-Norden metric compatibility")
     g = h.metric
-    n = h.dim
     for a in (1, 2, 3):
         phi, xi, eta, eps = h.phi(a), h.xi(a), h.eta(a), h.eps(a)
         eta_eta = Matrix.outer(eta, eta)
@@ -199,7 +194,7 @@ def validate_hn_metric(h: HN3Manifold) -> Report:
         )
         gxi = g.apply(xi)
         report.require_equal(f"eta{a} duality", (a,), eta, gxi * -eps)
-        norm = sum((xi[i] * gxi[i] for i in range(n)), ZERO)
+        norm = sum((x * gxi[i] for (i,), x in xi.nonzero()), ZERO)
         report.require(f"xi{a} square norm", (a,), norm, -eps)
     if g.is_symmetric():
         report.findings["metric_signature"] = "({},{},{})".format(*h.mla.metric_signature)

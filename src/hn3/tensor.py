@@ -4,12 +4,12 @@ throughout the package.
 Conventions
 -----------
 * A ``Tensor`` has ``contra`` in {0, 1} output slots and ``arity`` >= 1
-  argument slots.  Only its nonzero components are stored, keyed by index
+  argument slots.  Only its nonzero components are kept, keyed by index
   tuples with the argument slots first; a vector valued tensor keeps its
   output index LAST, so ``t[i, j, k]`` reads "the k-th component of
   t(e_i, e_j)".  Every contraction below is one call of
   ``hn3.linalg.contract`` and every tensor product one of
-  ``hn3.linalg.outer``, so only stored nonzeros are ever multiplied.
+  ``hn3.linalg.outer``, so only nonzero components are ever multiplied.
 * ``lower`` contracts the output index with the metric into a NEW LAST
   argument slot: ``lower(t, g)(x.., z) = g(t(x..), e_z)``.
 * ``tensor_product(a, b)`` puts the argument slots of ``a`` FIRST.
@@ -34,8 +34,8 @@ class Tensor(Array):
     """Sparse exact tensor of valence ``(contra, arity)`` on an n-dimensional frame.
 
     Storage, arithmetic and equality come from ``Array``: only the nonzero
-    components are stored, in canonical integer form, so two tensors of one
-    valence are equal exactly when their stored forms are, and ``nonzero``
+    components are kept, in canonical integer form, so two tensors of one
+    valence are equal exactly when those forms are, and ``nonzero``
     yields the entries, as Fractions, in row-major order.
     """
 
@@ -141,7 +141,7 @@ def permute_args(t: Tensor, perm: tuple[int, ...]) -> Tensor:
     """Rearrange argument slots: ``out[idx] = t[idx[perm[0]], idx[perm[1]], ..]``."""
     if sorted(perm) != list(range(t.arity)):
         raise ShapeError(f"perm must rearrange {t.arity} argument slots")
-    # the stored index s lands where out[perm[j]] = s[j]; the output slot stays
+    # the index s of a nonzero lands where out[perm[j]] = s[j]; the output slot stays
     return t._like(*t.permuted([perm.index(p) for p in range(t.arity)] + [t.arity] * t.contra))
 
 

@@ -72,6 +72,10 @@ class TestClassConditions:
         with pytest.raises(ValueError):
             structure_torsion(builtin2, 4)
 
+    def test_norden_condition_refuses_the_first_structure(self, builtin2):
+        with pytest.raises(ValueError, match="second and third structures"):
+            class_condition_alpha23(builtin2, 1)
+
 
 class TestTorsionForms:
     @pytest.mark.parametrize("lam", [Fraction(1), Fraction(2), Fraction(-3)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from hn3 import (
     parse_structure,
     structure_to_json,
 )
-from hn3.cli import run
+from hn3.cli import main, run
 from hn3.tensor import Tensor
 
 JACOBI_BAD = {
@@ -146,6 +147,60 @@ class TestSchemaErrors:
             parse_structure(data)
 
 
+def entry(data, pointer: str):
+    """The container of the entry at a JSON pointer, and the entry's key in it."""
+    *parents, last = pointer.strip("/").split("/")
+    node = data
+    for key in parents:
+        node = node[int(key) if isinstance(node, list) else key]
+    return node, int(last) if isinstance(node, list) else last
+
+
+def put(data, pointer: str, value):
+    """``data`` with the entry at a JSON pointer replaced by ``value``."""
+    node, key = entry(data, pointer)
+    node[key] = value
+    return data
+
+
+def drop(data, pointer: str):
+    """``data`` without the entry at a JSON pointer."""
+    node, key = entry(data, pointer)
+    del node[key]
+    return data
+
+
+SCHEMA_ERRORS = [
+    pytest.param(lambda d: [], "/", "top level must be an object", id="top-level-list"),
+    pytest.param(lambda d: put(d, "/dimension", 0), "/dimension",
+                 "dimension must be a positive integer", id="dimension-zero"),
+    pytest.param(lambda d: put(d, "/brackets", {}), "/brackets",
+                 "brackets must be a list", id="brackets-object"),
+    pytest.param(lambda d: put(d, "/brackets/0", 1), "/brackets/0",
+                 "entry must be an object", id="bracket-number"),
+    pytest.param(lambda d: put(d, "/brackets/0/i", "1"), "/brackets/0/i",
+                 "index must be an integer", id="bracket-index-string"),
+    pytest.param(lambda d: drop(d, "/brackets/0/value"), "/brackets/0",
+                 "missing key 'value'", id="bracket-without-value"),
+    pytest.param(lambda d: put(d, "/structures/1", "phi"), "/structures/1",
+                 "structure must be an object", id="structure-string"),
+    pytest.param(lambda d: drop(d, "/structures/2/eta"), "/structures/2",
+                 "missing key 'eta'", id="structure-without-eta"),
+    pytest.param(lambda d: put(d, "/structures/1/alpha", 1), "/structures/1/alpha",
+                 "duplicate structure 1", id="duplicate-alpha"),
+    pytest.param(lambda d: put(d, "/structures/0/xi", ["0"] * 6), "/structures/0/xi",
+                 "expected 7 entries", id="short-xi"),
+]
+
+
+@pytest.mark.parametrize("mutate, pointer, message", SCHEMA_ERRORS)
+def test_schema_errors_exit_2_at_their_pointer(builtin2, tmp_path, capsys, mutate, pointer, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(mutate(structure_to_json(builtin2))))
+    assert run(["validate", str(p)]) == 2
+    assert capsys.readouterr().err == f"structure file error: {pointer}: {message}\n"
+
+
 def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
@@ -162,6 +217,15 @@ class TestCLI:
         assert run(["validate", "--example"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["validate", "--example"], 0), (["validate"], 2), (["frobnicate"], 2)]
+    )
+    def test_main_exits_with_the_run_code(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(sys, "argv", ["hn3", *argv])
+        with pytest.raises(SystemExit) as e:
+            main()
+        assert e.value.code == code
 
     def test_validate_structure_file(self, builtin2, tmp_path, capsys):
         p = tmp_path / "h.json"

@@ -119,6 +119,18 @@ class TestValidation:
         report = validate_metric(MetricLieAlgebra(LieAlgebra.abelian(DIM), degenerate))
         assert not report.passed
 
+    @given(st.lists(st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2)]), min_size=16, max_size=16))
+    @settings(max_examples=60, deadline=None)
+    def test_symmetry_violations_match_dense_loop(self, flat):
+        g = Matrix([flat[4 * i:4 * i + 4] for i in range(4)])
+        report = validate_metric(MetricLieAlgebra(LieAlgebra.abelian(4), g))
+        found = [(v.indices, v.lhs, v.rhs) for v in report.violations if v.identity == "symmetry"]
+        dense = [
+            ((i + 1, j + 1), g[i, j], g[j, i])
+            for i in range(4) for j in range(i + 1, 4) if g[i, j] != g[j, i]
+        ]
+        assert found == dense
+
 
 @pytest.fixture(
     scope="module",

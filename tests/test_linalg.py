@@ -209,6 +209,17 @@ class TestSignature:
         )
         assert signature(m) == (2, 2, 0)
 
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # the only nonzero pair (2, 3) lies below the pivot row 1
+            ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], (1, 1, 1)),
+            ([[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, -3, 0], [0, 1, 0, 0]], (1, 2, 1)),
+        ],
+    )
+    def test_hyperbolic_pair_off_the_pivot_row(self, rows, expected):
+        assert signature(Matrix(rows)) == expected
+
     def test_non_symmetric_rejected(self):
         with pytest.raises(SymmetryError):
             signature(Matrix([[0, 1], [0, 0]]))

@@ -78,6 +78,7 @@ def test_structure_numbers_outside_1_to_3_are_refused(builtin2, alpha):
         lambda: check_fundamental_properties(f1, builtin2, alpha),
         lambda: fundamental_tensor(builtin2, alpha),
         lambda: in_skew_torsion_class(builtin2, alpha),
+        lambda: natural_connection(builtin2, alpha, natural_connection(builtin2, 1).torsion),
         lambda: braces_nijenhuis_product(p, alpha, 1),
         lambda: braces_nijenhuis_product(p, 1, alpha),
         lambda: p.j(alpha),
@@ -85,7 +86,7 @@ def test_structure_numbers_outside_1_to_3_are_refused(builtin2, alpha):
     for call in calls:
         with pytest.raises(ValueError, match="numbered 1, 2, 3"):
             call()
-    assert not [key for key in builtin2._memo if key[1:] == (alpha,)]
+    assert not [key for key in builtin2._memo if key[1:2] == (alpha,)]
 
 
 class TestStructurePerturbations:
@@ -104,6 +105,29 @@ class TestStructurePerturbations:
         )
         report = validate_hn_metric(h)
         assert not report.passed
+
+    def test_reeb_pairings_are_the_dense_sums(self, builtin2):
+        # xi_1 gains a component along xi_2 and one outside every Reeb direction
+        structures = list(builtin2.structures)
+        xi = structures[0].xi + structures[1].xi * 3 + Vector.basis(7, 0)
+        structures[0] = replace(structures[0], xi=xi)
+        h = HN3Manifold(builtin2.mla, tuple(structures))
+        g = h.metric
+        pairings = {
+            (a, b): sum(h.eta(a)[m] * h.xi(b)[m] for m in range(7))
+            for a in (1, 2, 3) for b in (1, 2, 3)
+        }
+        expected = {ab: p for ab, p in pairings.items() if p != (ab[0] == ab[1])}
+        found = {v.indices: v.lhs for v in validate_ac3(h).violations if "(xi" in v.identity}
+        assert found == expected and expected
+        norms = {
+            (a,): sum(h.xi(a)[i] * g[i, j] * h.xi(a)[j] for i in range(7) for j in range(7))
+            for a in (1, 2, 3)
+        }
+        expected = {a: n for a, n in norms.items() if n != -h.eps(a[0])}
+        report = validate_hn_metric(h)
+        found = {v.indices: v.lhs for v in report.violations if "square norm" in v.identity}
+        assert found == expected and expected
 
     def test_epsilon_pattern_enforced(self, builtin2):
         structures = list(builtin2.structures)
@@ -130,6 +154,11 @@ class TestStructurePerturbations:
         report = validate_ac3(h)
         assert report.warnings and "4m+3" in report.warnings[0]
         assert not report.passed
+
+
+def test_builtin_example_refuses_lambda_zero():
+    with pytest.raises(ValueError, match="must be nonzero"):
+        builtin_example(0)
 
 
 class TestProductExtension:
