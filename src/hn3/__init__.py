@@ -69,7 +69,6 @@ from .structures import (
     HN3Manifold,
     ProductExtension,
     build_product,
-    epsilon_symbol,
     validate_ac3,
     validate_hn_metric,
     validate_hypercomplex_hn,

@@ -54,13 +54,12 @@ _METRIC = [1, 1, -1, -1, -1, 1, 1]
 
 def standard_structures() -> tuple[AlmostContactStructure, ...]:
     """The structure triple of the frame: Reeb vectors ``e_5, e_6, e_7``."""
-    phis = (_PHI1, _PHI2, _PHI3)
     out = []
-    for a, eps in enumerate((1, -1, -1), start=1):
+    for a, phi in enumerate((_PHI1, _PHI2, _PHI3), start=1):
         reeb = 3 + a  # 0-based slot of e_{4+a}
         xi = Vector.basis(DIM, reeb)
         eta = covector([1 if i == reeb else 0 for i in range(DIM)])
-        out.append(AlmostContactStructure(Matrix(phis[a - 1]), xi, eta, eps))
+        out.append(AlmostContactStructure(Matrix(phi), xi, eta))
     return tuple(out)
 
 

@@ -27,7 +27,6 @@ from .errors import ExistenceError, SymmetryError, ValidationError
 from .liealg import Connection, connection_torsion, covariant_derivative, \
     covariant_derivative_vector
 from .nijenhuis import (
-    associated_nijenhuis,
     exterior_d_eta,
     fundamental_tensor,
     metric_lie_derivative,
@@ -240,6 +239,8 @@ def coincidence_check(h: HN3Manifold, force: bool = False) -> Coincidence:
     route two compares the coefficient tensors of the built connections.
     The two verdicts agree identically since the metric is fixed; both are
     exposed, and both reuse the torsions and connections of the manifold.
+    Unless forced, the class conditions gate it: by the paper's theorem
+    they hold exactly when the associated Nijenhuis tensors vanish.
     """
     if not force:
         missing = [a for a in (1, 2, 3) if not in_skew_torsion_class(h, a)]
@@ -247,11 +248,6 @@ def coincidence_check(h: HN3Manifold, force: bool = False) -> Coincidence:
             raise ExistenceError(
                 f"structures {missing} fail their class condition; "
                 "per-structure natural connections do not all exist"
-            )
-        hats = [a for a in (1, 2, 3) if not associated_nijenhuis(h, a)[0].is_zero()]
-        if hats:
-            raise ExistenceError(
-                f"associated Nijenhuis tensor of structures {hats} does not vanish"
             )
     torsions = {a: _torsion(h, a) for a in (1, 2, 3)}
     pairs = ((1, 2), (1, 3), (2, 3))

@@ -9,7 +9,7 @@ A structure file is a JSON object with four keys:
 * ``metric``: an n x n array of scalars;
 * ``structures``: three objects ``{"alpha", "epsilon", "phi", "xi",
   "eta"}`` with alpha in {1, 2, 3} and epsilon the fixed character of
-  that slot.
+  that slot: +1, -1, -1 for alpha = 1, 2, 3.
 
 Scalars are strings ``"p/q"``, ``"p"`` or decimals such as ``"-1.5"``, or
 plain JSON integers (``hn3.rational.as_scalar`` gives the grammar); floats
@@ -25,11 +25,11 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import StructureFileError
+from .errors import StructureFileError, ValidationError
 from .linalg import Matrix, Vector
 from .liealg import LieAlgebra, MetricLieAlgebra
 from .rational import as_scalar, format_scalar
-from .structures import AlmostContactStructure, HN3Manifold, require_valid
+from .structures import EPSILONS, AlmostContactStructure, HN3Manifold, require_valid
 from .tensor import covector
 
 
@@ -110,6 +110,7 @@ def parse_structure(data: dict) -> HN3Manifold:
     if not isinstance(data["structures"], list) or len(data["structures"]) != 3:
         raise StructureFileError("exactly three structures required", "/structures")
     slots: dict[int, AlmostContactStructure] = {}
+    epsilons: dict[int, int] = {}
     for pos, s in enumerate(data["structures"]):
         path = f"/structures/{pos}"
         if not isinstance(s, dict):
@@ -128,8 +129,10 @@ def parse_structure(data: dict) -> HN3Manifold:
         phi = _matrix_at(s["phi"], dim, f"{path}/phi")
         xi = Vector(_vector_at(s["xi"], dim, f"{path}/xi"))
         eta = covector(_vector_at(s["eta"], dim, f"{path}/eta"))
-        slots[alpha] = AlmostContactStructure(phi, xi, eta, epsilon)
+        slots[alpha], epsilons[alpha] = AlmostContactStructure(phi, xi, eta), epsilon
     # the character pattern is fixed; a mismatch is invalid data, not bad syntax
+    if (epsilons[1], epsilons[2], epsilons[3]) != EPSILONS:
+        raise ValidationError("metric characters must be (+1, -1, -1)")
     return HN3Manifold(
         MetricLieAlgebra(algebra, metric), (slots[1], slots[2], slots[3])
     )

@@ -194,8 +194,8 @@ def lie_derivative_metric(mla: MetricLieAlgebra, xi: Vector) -> Tensor:
 
 def lie_derivative_covector(alg: LieAlgebra, xi: Vector, eta: Tensor) -> Tensor:
     """Lie derivative of a constant one-form: ``(L_xi eta)(x) = -eta([xi, x])``."""
-    if eta.contra != 0 or eta.arity != 1:
-        raise ShapeError("need a one-form")
+    if (eta.contra, eta.arity, eta.dim) != (0, 1, alg.dim) or xi.shape != (alg.dim,):
+        raise ShapeError(f"need a vector and a one-form of dimension {alg.dim}")
     eta_bracket = contract((alg.bracket, 2, eta.lines(0)))  # eta([e_a, e_x])
     inner = Matrix.from_ints((alg.dim, alg.dim), *eta_bracket)
     return Tensor.from_ints(0, 1, alg.dim, *contract((-inner, 0, xi.lines(0))))

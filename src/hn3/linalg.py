@@ -73,7 +73,7 @@ class Array:
     than its class and shape (a tensor's valence) extends ``_kind``/``_like``.
     """
 
-    __slots__ = ("shape", "comps", "den", "_lines")
+    __slots__ = ("shape", "comps", "den", "_lines", "_hash")
 
     @classmethod
     def from_ints(cls, shape: tuple[int, ...], comps: dict, den: int):
@@ -137,7 +137,10 @@ class Array:
         return (self._kind(), self.den, self.comps) == (other._kind(), other.den, other.comps)
 
     def __hash__(self):
-        return hash((self._kind(), self.den, frozenset(self.comps.items())))
+        # an array never changes after construction, so its hash is computed once
+        if not hasattr(self, "_hash"):
+            self._hash = hash((self._kind(), self.den, frozenset(self.comps.items())))
+        return self._hash
 
     def is_zero(self) -> bool:
         return not self.comps

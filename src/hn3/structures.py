@@ -36,11 +36,10 @@ def _position(alpha: int) -> int:
     return alpha - 1
 
 
-def epsilon_symbol(a: int, b: int, c: int) -> int:
-    """Totally antisymmetric symbol on {1, 2, 3}."""
-    if {a, b, c} != {1, 2, 3}:
-        return 0
-    return 1 if (a, b, c) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
+def _product(a: int, b: int) -> tuple[int, int]:
+    """For ``a != b``: the third number c and the sign e of ``phi_a phi_b = e phi_c + ..``."""
+    # e is +1 on the cyclic order (1, 2), (2, 3), (3, 1) and -1 against it
+    return 6 - a - b, 1 if (b - a) % 3 == 1 else -1
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class AlmostContactStructure:
     phi: Matrix
     xi: Vector
     eta: Tensor
-    epsilon: int
 
     def __post_init__(self):
         n = self.phi.rows
@@ -58,8 +56,6 @@ class AlmostContactStructure:
             raise ShapeError("structure tensor dimensions disagree")
         if (self.eta.contra, self.eta.arity, self.eta.dim) != (0, 1, n):
             raise ShapeError("eta must be a one-form of matching dimension")
-        if self.epsilon not in (1, -1):
-            raise ShapeError("epsilon must be +1 or -1")
 
     @property
     def dim(self) -> int:
@@ -70,9 +66,9 @@ class AlmostContactStructure:
 class HN3Manifold:
     """Metric Lie algebra carrying an almost contact 3-structure.
 
-    The constructor enforces shapes and the fixed character pattern
-    ``(+1, -1, -1)``; the geometric identities themselves are checked by
-    the ``validate_*`` functions, which report every violated component.
+    The constructor enforces shapes; each slot fixes its structure's metric
+    character (``EPSILONS``), and the ``validate_*`` functions check the
+    identities under those characters, reporting every violated component.
     The manifold is immutable, so each object derived from it is computed
     once and kept in ``_memo`` for the manifold's lifetime (see ``derived``).
     """
@@ -86,8 +82,6 @@ class HN3Manifold:
             raise ValidationError("exactly three structures required")
         if any(s.dim != self.mla.dim for s in self.structures):
             raise ShapeError("structure dimensions disagree with the algebra")
-        if tuple(s.epsilon for s in self.structures) != EPSILONS:
-            raise ValidationError("metric characters must be (+1, -1, -1)")
 
     @property
     def dim(self) -> int:
@@ -110,7 +104,7 @@ class HN3Manifold:
         return self.structure(alpha).eta
 
     def eps(self, alpha: int) -> int:
-        return self.structure(alpha).epsilon
+        return EPSILONS[_position(alpha)]
 
 
 def derived(build: Callable) -> Callable:
@@ -120,15 +114,16 @@ def derived(build: Callable) -> Callable:
     *args)``.  Structure numbers and arrays compare and hash by value, so
     equal arguments share one entry; a call that raises keeps nothing.  A
     build reads a structure number through ``HN3Manifold.structure``, which
-    refuses numbers outside 1, 2, 3.
+    refuses numbers outside 1, 2, 3.  A hit is one lookup.
     """
 
     @wraps(build)
     def memoized(h: HN3Manifold, *args):
         key = (build, *args)
-        if key not in h._memo:
-            h._memo[key] = build(h, *args)
-        return h._memo[key]
+        value = h._memo.get(key, key)  # no build returns its own key, so it marks a miss
+        if value is key:
+            value = h._memo[key] = build(h, *args)
+        return value
 
     return memoized
 
@@ -136,7 +131,7 @@ def derived(build: Callable) -> Callable:
 def validate_ac3(h: HN3Manifold) -> Report:
     """Composition laws of the structure triple, all pairs, all components.
 
-    Checked for every ordered pair (a, b) with e = epsilon_symbol(a, b, c):
+    Checked for every ordered pair (a, b), with ``c, e = _product(a, b)``:
     ``phi_a phi_b = -delta_ab I + xi_a (x) eta_b + e phi_c``,
     ``phi_a xi_b = e xi_c``, ``eta_a . phi_b = e eta_c``,
     ``eta_a(xi_b) = delta_ab``.
@@ -150,8 +145,7 @@ def validate_ac3(h: HN3Manifold) -> Report:
         )
     for a in (1, 2, 3):
         for b in (1, 2, 3):
-            c = ({1, 2, 3} - {a, b}).pop() if a != b else 0
-            e = epsilon_symbol(a, b, c) if a != b else 0
+            c, e = _product(a, b) if a != b else (0, 0)
             rhs = Matrix.outer(h.xi(a), h.eta(b))
             if a == b:
                 rhs = rhs - Matrix.identity(n)
@@ -233,7 +227,6 @@ class ProductExtension:
     block appended.
     """
 
-    base: HN3Manifold
     mla: MetricLieAlgebra
     j_ops: tuple[Matrix, Matrix, Matrix]
 
@@ -265,7 +258,7 @@ def build_product(h: HN3Manifold, validate: bool = True) -> ProductExtension:
         comps.update({(i, n): -x for (i,), x in h.xi(a).nonzero()})
         comps.update({(n, i): x for (i,), x in h.eta(a).nonzero()})
         js.append(Matrix.from_dict((n + 1, n + 1), comps))
-    return ProductExtension(h, ext_mla, tuple(js))
+    return ProductExtension(ext_mla, tuple(js))
 
 
 def validate_hypercomplex_hn(p: ProductExtension) -> Report:
@@ -289,8 +282,7 @@ def validate_hypercomplex_hn(p: ProductExtension) -> Report:
         for b in (1, 2, 3):
             if a == b:
                 continue
-            c = ({1, 2, 3} - {a, b}).pop()
-            e = epsilon_symbol(a, b, c)
+            c, e = _product(a, b)
             report.require_equal(
                 f"J{a}J{b} = {'+' if e > 0 else '-'}J{c}", (a, b),
                 p.j(a) @ p.j(b), p.j(c) * e,

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import form_from_seeds, signed_perms
+from conftest import form_from_seeds, manifold_from_brackets, signed_perms
 from hn3 import (
+    associated_nijenhuis,
     class_condition_alpha1,
     class_condition_alpha23,
     coincidence_check,
@@ -24,9 +25,27 @@ from hn3 import (
     naturality_report,
     structure_torsion,
     torsion_alpha1_via_forms,
+    validation_reports,
 )
 from hn3.errors import ExistenceError, SymmetryError
 from hn3.tensor import Tensor, is_three_form, lower
+from test_frame_covariance import elementary_product, is_signed_permutation, move
+
+# 2-step nilpotent brackets on the standard frame (so Jacobi holds) that
+# tell the structures apart, with the class verdicts of structures 1, 2, 3
+SEPARATING_DRAWS = {
+    "[e3,e4] = 2e6": ({(3, 4, 6): 2, (4, 3, 6): -2}, [True, False, False]),
+    "[e1,e4] = [e2,e3] = e6": (
+        {(1, 4, 6): 1, (4, 1, 6): -1, (2, 3, 6): 1, (3, 2, 6): -1}, [False, True, False],
+    ),
+    "[e2,e4] = -e5": ({(2, 4, 5): -1, (4, 2, 5): 1}, [False, False, False]),
+}
+
+# two fixed frame changes, products of elementary matrices I + q E_ij (0-based)
+FRAMES = (
+    [(0, 4, Fraction(1, 2)), (5, 2, Fraction(-2))],
+    [(1, 6, Fraction(3)), (3, 0, Fraction(-1, 3)), (6, 5, Fraction(2))],
+)
 
 
 def torsion_seeds(alpha: int, lam: Fraction) -> dict:
@@ -75,6 +94,27 @@ class TestClassConditions:
     def test_norden_condition_refuses_the_first_structure(self, builtin2):
         with pytest.raises(ValueError, match="second and third structures"):
             class_condition_alpha23(builtin2, 1)
+
+
+def test_class_condition_holds_exactly_when_the_associated_nijenhuis_tensor_vanishes(
+    bracket_fixtures, lam_family
+):
+    # the paper's existence theorem, on which coincidence_check relies when
+    # it gates on the class conditions alone
+    corpus = {**bracket_fixtures, **{f"lambda = {lam}": h for lam, h in lam_family.items()}}
+    for name, (brackets, verdicts) in SEPARATING_DRAWS.items():
+        corpus[name] = h = manifold_from_brackets(brackets)
+        assert [in_skew_torsion_class(h, a) for a in (1, 2, 3)] == verdicts, name
+    for k, factors in enumerate(FRAMES):
+        p = elementary_product(factors)
+        assert not is_signed_permutation(p)
+        corpus[f"example in frame {k}"] = move(lam_family[2], p)
+    corpus["[e3,e4] = 2e6 in frame 1"] = move(corpus["[e3,e4] = 2e6"], p)
+    for name, h in corpus.items():
+        assert all(r.passed for r in validation_reports(h)), name
+        for a in (1, 2, 3):
+            vanishes = associated_nijenhuis(h, a)[0].is_zero()
+            assert in_skew_torsion_class(h, a) == vanishes, (name, a)
 
 
 class TestTorsionForms:

@@ -69,9 +69,7 @@ def move(h: HN3Manifold, p: Matrix) -> HN3Manifold:
     bracket = postcompose(precompose(precompose(h.mla.algebra.bracket, q, 0), q, 1), p)
     metric = q.transpose() @ h.metric @ q
     structures = tuple(
-        AlmostContactStructure(
-            p @ s.phi @ q, p.apply(s.xi), precompose(s.eta, q, 0), s.epsilon
-        )
+        AlmostContactStructure(p @ s.phi @ q, p.apply(s.xi), precompose(s.eta, q, 0))
         for s in h.structures
     )
     return HN3Manifold(MetricLieAlgebra(LieAlgebra(N, bracket), metric), structures)

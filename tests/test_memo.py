@@ -194,6 +194,9 @@ def test_connection_command_builds_three_connections(calls, capsys):
     assert run(["connection", "--example", "--json"]) == 0
     assert calls["connection_torsion"] == 3
     assert calls["covariant_derivative"] == 3  # F_1, F_2, F_3
+    # no N̂_a either: the class conditions are coincidence_check's one
+    # existence gate, since by the paper's theorem they hold exactly when N̂_a = 0
+    assert calls["phi_braces"] == 0
 
 
 def test_classify_command_sums_each_fundamental_tensor_once(monkeypatch, capsys):

@@ -25,6 +25,11 @@ def test_entries_nonzero_on_either_side_are_compared_row_major():
     assert [(v.indices, v.rhs) for v in report.violations] == [((2, 1), Fraction(1, 3))]
 
 
+def test_str_is_the_rendering():
+    report = Report("r", warnings=["w"])
+    assert str(report) == report.render() == "[PASS] r\n    warning: w"
+
+
 def test_shapes_must_agree():
     with pytest.raises(ShapeError):
         Report("r").require_equal("m", (), Matrix.identity(2), Vector([1, 0, 0, 1]))

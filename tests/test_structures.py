@@ -29,7 +29,7 @@ from hn3 import (
 from hn3.builtin import standard_structures
 from hn3.errors import ValidationError
 from hn3.liealg import LieAlgebra, MetricLieAlgebra
-from hn3.structures import AlmostContactStructure, HN3Manifold
+from hn3.structures import AlmostContactStructure, HN3Manifold, require_valid
 from hn3.tensor import covector
 from oracle import value_at
 
@@ -129,11 +129,15 @@ class TestStructurePerturbations:
         found = {v.indices: v.lhs for v in report.violations if "square norm" in v.identity}
         assert found == expected and expected
 
-    def test_epsilon_pattern_enforced(self, builtin2):
-        structures = list(builtin2.structures)
-        structures[1] = replace(structures[1], epsilon=1)
+    def test_structures_in_the_wrong_slots_are_refused(self, builtin2):
+        # each slot fixes its metric character, so the Hermitian structure
+        # in a Norden slot breaks metric compatibility
+        s1, s2, s3 = builtin2.structures
+        h = HN3Manifold(builtin2.mla, (s2, s1, s3))
+        assert [h.eps(a) for a in (1, 2, 3)] == [1, -1, -1]
+        assert not validate_hn_metric(h).passed
         with pytest.raises(ValidationError):
-            HN3Manifold(builtin2.mla, tuple(structures))
+            require_valid(h)
 
     def test_exactly_three_structures(self, builtin2):
         with pytest.raises(ValidationError):
@@ -147,10 +151,8 @@ class TestStructurePerturbations:
         phi = Matrix(
             [[j[i, k] if i < 2 and k < 2 else 0 for k in range(5)] for i in range(5)]
         )
-        s = AlmostContactStructure(
-            phi, Vector.basis(5, 4), covector(Vector.basis(5, 4)), 1
-        )
-        h = HN3Manifold(mla, (s, replace(s, epsilon=-1), replace(s, epsilon=-1)))
+        s = AlmostContactStructure(phi, Vector.basis(5, 4), covector(Vector.basis(5, 4)))
+        h = HN3Manifold(mla, (s, s, s))
         report = validate_ac3(h)
         assert report.warnings and "4m+3" in report.warnings[0]
         assert not report.passed
