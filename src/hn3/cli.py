@@ -19,7 +19,6 @@ from .connections import (
     class_condition_alpha23,
     coincidence_check,
     cyclic_sum_vanishes,
-    in_skew_torsion_class,
     natural_connection,
     naturality_report,
     structure_torsion,
@@ -66,11 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "write negative values as --lambda=-p/q",
     )
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    forceable = argparse.ArgumentParser(add_help=False)
-    forceable.add_argument(
-        "--force", action="store_true",
-        help="compute past failed existence preconditions (output not certified)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="hn3",
@@ -79,14 +73,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", parents=[common], help="run all structure validators")
-    p_compute = sub.add_parser("compute", parents=[common, forceable], help="print one tensor")
+    p_compute = sub.add_parser("compute", parents=[common], help="print one tensor")
     p_compute.add_argument("--tensor", choices=_TENSORS, required=True)
     sub.add_parser(
         "classify", parents=[common],
         help="evaluate the skew-torsion admissibility conditions",
     )
     sub.add_parser(
-        "connection", parents=[common, forceable],
+        "connection", parents=[common],
         help="build the three natural connections and compare them",
     )
     p_product = sub.add_parser(
@@ -146,13 +140,7 @@ def _cmd_compute(h: HN3Manifold, args) -> tuple[int, list[Report]]:
     elif name.startswith("N"):
         t = nijenhuis_tensor(h, int(name[1]))[1]
     elif name.startswith("T"):
-        alpha = int(name[1])
-        t = structure_torsion(h, alpha, force=args.force)
-        if args.force and not in_skew_torsion_class(h, alpha):
-            report.warnings.append(
-                "existence precondition fails; this expression is not the "
-                "torsion of a natural connection"
-            )
+        t = structure_torsion(h, int(name[1]))
     elif name == "LC":
         t = h.mla.levi_civita.gamma
     else:
@@ -189,25 +177,19 @@ def _cmd_connection(h: HN3Manifold, args) -> tuple[int, list[Report]]:
     for a in (1, 2, 3):
         rep = Report(f"naturality for structure {a}")
         try:
-            t = structure_torsion(h, a, force=args.force)
-            nc = natural_connection(h, a, t)
+            nc = natural_connection(h, a)
         except ExistenceError as exc:
             _failed_precondition(rep, exc)
             code = 1
-        except SymmetryError:
-            rep.warnings.append(
-                "torsion is not a 3-form here; no natural connection was built"
-            )
-            rep.attach_tensor(f"T{a}", t)
         else:
             rep = naturality_report(nc.connection, h, a)
-            rep.attach_tensor(f"T{a}", t)
+            rep.attach_tensor(f"T{a}", nc.torsion)
             if not rep.passed:
                 code = 1
         reports.append(rep)
     rep = Report("coincidence of the three natural connections")
     try:
-        coin = coincidence_check(h, force=args.force)
+        coin = coincidence_check(h)
     except ExistenceError as exc:
         return 1, reports + [_failed_precondition(rep, exc)]
     for (a, b), equal in coin.torsions_equal.items():

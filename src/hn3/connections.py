@@ -56,7 +56,7 @@ def class_condition_alpha1(h: HN3Manifold, fund: Tensor | None = None) -> bool:
 
     ``fund`` defaults to the memoized F_1; the verdict is kept per tensor value.
     """
-    return _reflection_identity_holds(h, fundamental_tensor(h, 1) if fund is None else fund)
+    return _reflection_defect(h, fundamental_tensor(h, 1) if fund is None else fund).is_zero()
 
 
 def class_condition_alpha23(h: HN3Manifold, alpha: int, fund: Tensor | None = None) -> bool:
@@ -71,11 +71,12 @@ def class_condition_alpha23(h: HN3Manifold, alpha: int, fund: Tensor | None = No
 
 
 @derived
-def _reflection_identity_holds(h: HN3Manifold, fund: Tensor) -> bool:
+def _reflection_defect(h: HN3Manifold, fund: Tensor) -> Tensor:
+    """The left side of the reflection identity, zero exactly inside the first class."""
     phi = h.phi(1)
     a = precompose(fund, phi, 0)
     b = precompose(fund, phi, 2)
-    return (a + permute_args(a, (1, 0, 2)) + b + permute_args(b, (1, 0, 2))).is_zero()
+    return a + permute_args(a, (1, 0, 2)) + b + permute_args(b, (1, 0, 2))
 
 
 @derived
@@ -114,23 +115,34 @@ def torsion_alpha1_via_forms(h: HN3Manifold) -> Tensor:
     )
 
 
-def structure_torsion(h: HN3Manifold, alpha: int, force: bool = False) -> Tensor:
+def structure_torsion(h: HN3Manifold, alpha: int) -> Tensor:
     """Torsion 3-form of the natural connection of one structure, computed once per manifold.
 
     First structure: ``T(x,y,z) = F(x,y,phi z) - F(y,x,phi z) - F(phi z,x,y)
     + 2 F(x,phi y,xi) eta(z)``.  Norden-type structures 2 and 3:
     ``T = -1/2 cyclic_sum( F(x,y,phi z) - 3 eta(x) F(y,phi z,xi) )``.
-    Raises unless the class condition holds; ``force`` returns the raw
-    expression anyway.
+    Raises unless the class condition holds, naming a witness: the failing
+    identity (the reflection identity; else the cyclic sum of F_alpha, or
+    L_xi g where that sum vanishes), its count of nonzero components and the
+    first of them in row-major order.
     """
-    if not force and not in_skew_torsion_class(h, alpha):
-        which = "the first structure" if alpha == 1 else f"structure {alpha}"
-        why = "reflection identity" if alpha == 1 else "cyclic or Killing condition"
-        raise ExistenceError(
-            f"{which} does not admit a natural connection with totally "
-            f"skew-symmetric torsion ({why} fails)"
-        )
-    return _torsion(h, alpha)
+    if in_skew_torsion_class(h, alpha):
+        return _torsion(h, alpha)
+    if alpha == 1:
+        which, why = "the first structure", "reflection identity"
+        name, defect = "the reflection identity", _reflection_defect(h, fundamental_tensor(h, 1))
+    else:
+        which, why = f"structure {alpha}", "cyclic or Killing condition"
+        name, defect = f"the cyclic sum of F_{alpha}", cyclic_sum(fundamental_tensor(h, alpha))
+        if defect.is_zero():
+            name, defect = f"L_xi g of structure {alpha}", metric_lie_derivative(h, alpha)
+    entries = defect.entries_1based()
+    idx, value = entries[0]
+    raise ExistenceError(
+        f"{which} does not admit a natural connection with totally "
+        f"skew-symmetric torsion ({why} fails); witness: {name} is nonzero at "
+        f"{len(entries)} of {h.dim ** defect.nslots} components, first at {idx} = {value}"
+    )
 
 
 @derived
@@ -150,7 +162,6 @@ def _torsion(h: HN3Manifold, alpha: int) -> Tensor:
 class NaturalConnection:
     """A structure-preserving connection together with its 3-form torsion."""
 
-    alpha: int
     connection: Connection
     torsion: Tensor
 
@@ -160,16 +171,16 @@ def natural_connection(
 ) -> NaturalConnection:
     """Build ``D = LC + torsion/2`` and re-derive the torsion as a consistency check.
 
-    ``torsion`` defaults to ``structure_torsion(h, alpha)``; the connection is
-    built once per structure and torsion value, so equal torsions share it.
+    ``torsion`` defaults to ``structure_torsion(h, alpha)``.  D does not depend on
+    alpha, so it is built once per torsion value and equal torsions share it.
     """
+    h.structure(alpha)  # refuses numbers outside 1, 2, 3
     t = structure_torsion(h, alpha) if torsion is None else torsion
-    return _connection_with_torsion(h, alpha, t)
+    return _connection_with_torsion(h, t)
 
 
 @derived
-def _connection_with_torsion(h: HN3Manifold, alpha: int, t: Tensor) -> NaturalConnection:
-    h.structure(alpha)  # refuses numbers outside 1, 2, 3
+def _connection_with_torsion(h: HN3Manifold, t: Tensor) -> NaturalConnection:
     if not is_three_form(t):
         raise SymmetryError("torsion must be totally skew-symmetric")
     gamma = h.mla.levi_civita.gamma + raise_last(t, h.mla.metric_inverse) * HALF
@@ -177,7 +188,7 @@ def _connection_with_torsion(h: HN3Manifold, alpha: int, t: Tensor) -> NaturalCo
     recomputed = lower(connection_torsion(conn, h.mla.algebra), h.metric)
     if recomputed != t:
         raise ValidationError("torsion round-trip failed; inconsistent metric data")
-    return NaturalConnection(alpha, conn, t)
+    return NaturalConnection(conn, t)
 
 
 def naturality_report(conn: Connection, h: HN3Manifold, alpha: int) -> Report:
@@ -195,19 +206,13 @@ def naturality_report(conn: Connection, h: HN3Manifold, alpha: int) -> Report:
 
 @dataclass(frozen=True, eq=False)
 class Coincidence:
-    """Outcome of comparing the three structure-wise natural connections.
-
-    ``connections_equal`` is None when some torsion expression was not a
-    3-form, which can only happen under ``force``.
-    """
+    """Outcome of comparing the three structure-wise natural connections."""
 
     torsions_equal: dict[tuple[int, int], bool]
-    connections_equal: dict[tuple[int, int], bool] | None
+    connections_equal: dict[tuple[int, int], bool]
 
     @property
     def routes_agree(self) -> bool:
-        if self.connections_equal is None:
-            return True
         return self.torsions_equal == self.connections_equal
 
     @property
@@ -232,32 +237,27 @@ class Coincidence:
         )
 
 
-def coincidence_check(h: HN3Manifold, force: bool = False) -> Coincidence:
+def coincidence_check(h: HN3Manifold) -> Coincidence:
     """Compare the three natural connections by two independent routes.
 
     Route one compares the closed-form torsion expressions componentwise;
     route two compares the coefficient tensors of the built connections.
     The two verdicts agree identically since the metric is fixed; both are
     exposed, and both reuse the torsions and connections of the manifold.
-    Unless forced, the class conditions gate it: by the paper's theorem
-    they hold exactly when the associated Nijenhuis tensors vanish.
+    The class conditions gate it: by the paper's theorem they hold exactly
+    when the associated Nijenhuis tensors vanish.
     """
-    if not force:
-        missing = [a for a in (1, 2, 3) if not in_skew_torsion_class(h, a)]
-        if missing:
-            raise ExistenceError(
-                f"structures {missing} fail their class condition; "
-                "per-structure natural connections do not all exist"
-            )
+    missing = [a for a in (1, 2, 3) if not in_skew_torsion_class(h, a)]
+    if missing:
+        raise ExistenceError(
+            f"structures {missing} fail their class condition; "
+            "per-structure natural connections do not all exist"
+        )
     torsions = {a: _torsion(h, a) for a in (1, 2, 3)}
+    conns = {a: natural_connection(h, a, torsions[a]) for a in (1, 2, 3)}
     pairs = ((1, 2), (1, 3), (2, 3))
     torsions_equal = {(a, b): torsions[a] == torsions[b] for a, b in pairs}
-    if all(is_three_form(t) for t in torsions.values()):
-        conns = {a: natural_connection(h, a, torsions[a]) for a in (1, 2, 3)}
-        connections_equal = {
-            (a, b): conns[a].connection.gamma == conns[b].connection.gamma
-            for a, b in pairs
-        }
-    else:
-        connections_equal = None
+    connections_equal = {
+        (a, b): conns[a].connection.gamma == conns[b].connection.gamma for a, b in pairs
+    }
     return Coincidence(torsions_equal, connections_equal)

@@ -35,6 +35,8 @@ class LieAlgebra:
     bracket: Tensor
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ShapeError("Lie algebra dimension must be at least 1")
         if (self.bracket.contra, self.bracket.arity) != (1, 2):
             raise ShapeError("structure constants form a (1,2) tensor")
         if self.bracket.dim != self.dim:

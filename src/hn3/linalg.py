@@ -204,6 +204,8 @@ class Vector(Array):
 
     @classmethod
     def zero(cls, n: int) -> Vector:
+        if n < 1:
+            raise ShapeError("empty vector")
         return cls.from_ints((n,), {}, 1)
 
     @classmethod
@@ -242,15 +244,22 @@ class Matrix(Array):
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
+        if n < 1:
+            raise ShapeError("empty matrix")
         return cls.from_ints((n, n), {(i, i): 1 for i in range(n)}, 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> Matrix:
-        return cls.from_ints((rows, rows if cols is None else cols), {}, 1)
+        cols = rows if cols is None else cols
+        if min(rows, cols) < 1:
+            raise ShapeError("empty matrix")
+        return cls.from_ints((rows, cols), {}, 1)
 
     @classmethod
     def diagonal(cls, values: Sequence) -> Matrix:
         n = len(values)
+        if n < 1:
+            raise ShapeError("empty matrix")
         return cls.from_dict((n, n), {(i, i): as_scalar(v) for i, v in enumerate(values)})
 
     @classmethod

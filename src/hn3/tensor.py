@@ -47,6 +47,8 @@ class Tensor(Array):
             raise ShapeError("contra must be 0 or 1")
         if arity < 1:
             raise ShapeError("arity must be at least 1")
+        if dim < 1:
+            raise ShapeError("tensor dimension must be at least 1")
         values = [as_scalar(c) for c in comps]
         if len(values) != dim ** (arity + contra):
             raise ShapeError(
@@ -76,6 +78,8 @@ class Tensor(Array):
 
     @classmethod
     def zeros(cls, contra: int, arity: int, dim: int) -> Tensor:
+        if dim < 1:
+            raise ShapeError("tensor dimension must be at least 1")
         return cls.from_ints(contra, arity, dim, {}, 1)
 
     def _kind(self) -> tuple:

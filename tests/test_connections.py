@@ -8,12 +8,22 @@ controls, and the coincidence comparison of all three.
 
 from __future__ import annotations
 
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
-from conftest import form_from_seeds, manifold_from_brackets, signed_perms
+from conftest import (
+    CENTRAL_IMAGE_BRACKETS,
+    DISCRIMINATOR_BRACKETS,
+    SOLVABLE_BRACKETS,
+    form_from_seeds,
+    manifold_from_brackets,
+    signed_perms,
+)
 from hn3 import (
+    Vector,
     associated_nijenhuis,
     class_condition_alpha1,
     class_condition_alpha23,
@@ -29,6 +39,7 @@ from hn3 import (
 )
 from hn3.errors import ExistenceError, SymmetryError
 from hn3.tensor import Tensor, is_three_form, lower
+from oracle import bracket_vectors, value_at
 from test_frame_covariance import elementary_product, is_signed_permutation, move
 
 # 2-step nilpotent brackets on the standard frame (so Jacobi holds) that
@@ -40,6 +51,9 @@ SEPARATING_DRAWS = {
     ),
     "[e2,e4] = -e5": ({(2, 4, 5): -1, (4, 2, 5): 1}, [False, False, False]),
 }
+
+# xi_2 = e6 acts on e1, e2 without being Killing, yet F_2 has no cyclic sum
+CYCLIC_FREE_DRAW = {(6, 1, 4): 1, (1, 6, 4): -1, (6, 2, 3): 1, (2, 6, 3): -1}
 
 # two fixed frame changes, products of elementary matrices I + q E_ij (0-based)
 FRAMES = (
@@ -84,8 +98,6 @@ class TestClassConditions:
     def test_gate_the_torsion_constructors(self, solvable):
         with pytest.raises(ExistenceError):
             structure_torsion(solvable, 2)
-        forced = structure_torsion(solvable, 2, force=True)
-        assert not forced.is_zero()
 
     def test_alpha_range_guard(self, builtin2):
         with pytest.raises(ValueError):
@@ -110,11 +122,99 @@ def test_class_condition_holds_exactly_when_the_associated_nijenhuis_tensor_vani
         assert not is_signed_permutation(p)
         corpus[f"example in frame {k}"] = move(lam_family[2], p)
     corpus["[e3,e4] = 2e6 in frame 1"] = move(corpus["[e3,e4] = 2e6"], p)
+    corpus["[e6,e1] = e4, [e6,e2] = e3"] = manifold_from_brackets(CYCLIC_FREE_DRAW)
     for name, h in corpus.items():
         assert all(r.passed for r in validation_reports(h)), name
         for a in (1, 2, 3):
             vanishes = associated_nijenhuis(h, a)[0].is_zero()
             assert in_skew_torsion_class(h, a) == vanishes, (name, a)
+
+
+WITNESS_INPUTS = {
+    "solvable": SOLVABLE_BRACKETS,
+    "central_image": CENTRAL_IMAGE_BRACKETS,
+    "discriminator": DISCRIMINATOR_BRACKETS,
+    **{name: brackets for name, (brackets, _) in SEPARATING_DRAWS.items()},
+    "[e6,e1] = e4, [e6,e2] = e3": CYCLIC_FREE_DRAW,
+}
+
+# every structure outside its class on those inputs, with the identity its
+# existence error must name
+WITNESSES = [
+    *((name, 1, "the reflection identity") for name in (
+        "solvable", "central_image", "discriminator", "[e1,e4] = [e2,e3] = e6",
+        "[e2,e4] = -e5", "[e6,e1] = e4, [e6,e2] = e3",
+    )),
+    *((name, 2, "the cyclic sum of F_2") for name in (
+        "solvable", "central_image", "discriminator", "[e3,e4] = 2e6", "[e2,e4] = -e5",
+    )),
+    ("[e6,e1] = e4, [e6,e2] = e3", 2, "L_xi g of structure 2"),
+    *((name, 3, "the cyclic sum of F_3") for name in (
+        "solvable", "central_image", "discriminator", "[e3,e4] = 2e6",
+        "[e1,e4] = [e2,e3] = e6", "[e2,e4] = -e5", "[e6,e1] = e4, [e6,e2] = e3",
+    )),
+]
+
+WITNESS = re.compile(
+    r"\((reflection identity|cyclic or Killing condition) fails\); witness: (?P<name>.+) "
+    r"is nonzero at (?P<count>\d+) of (?P<total>\d+) components, "
+    r"first at \((?P<idx>[\d, ]+)\) = (?P<value>-?\d+(/\d+)?)$"
+)
+
+
+def dense_identity(h, alpha: int, name: str) -> dict:
+    """Every component of the named identity, densely, by 1-based index in row-major order."""
+    n, alg = h.dim, h.mla.algebra
+    e = [Vector.basis(n, i) for i in range(n)]
+    f, arity = fundamental_tensor(h, alpha), 3
+    if name.startswith("L_xi g"):
+        # (L_xi g)(x, y) = -g([xi, x], y) - g(x, [xi, y]) on left-invariant fields
+        g, xi, arity = h.metric, h.xi(alpha), 2
+
+        def pair(x, y):
+            return sum((g[i, j] * x[i] * y[j] for i in range(n) for j in range(n)), Fraction(0))
+
+        def comp(i, j):
+            return -pair(bracket_vectors(alg, xi, e[i]), e[j]) - pair(
+                e[i], bracket_vectors(alg, xi, e[j])
+            )
+    elif name == "the reflection identity":
+        # phi e_i has components phi[m, i]
+        pe = [Vector([h.phi(1)[m, i] for m in range(n)]) for i in range(n)]
+
+        def comp(i, j, k):
+            return (
+                value_at(f, pe[i], e[j], e[k]) + value_at(f, pe[j], e[i], e[k])
+                + value_at(f, e[i], e[j], pe[k]) + value_at(f, e[j], e[i], pe[k])
+            )
+    else:
+        def comp(i, j, k):
+            return f[i, j, k] + f[j, k, i] + f[k, i, j]
+    return {
+        tuple(i + 1 for i in idx): comp(*idx)
+        for idx in itertools.product(range(n), repeat=arity)
+    }
+
+
+@pytest.mark.parametrize(
+    "inputs, alpha, identity", WITNESSES, ids=[f"{n} / structure {a}" for n, a, _ in WITNESSES]
+)
+def test_failed_class_condition_names_its_witness(inputs, alpha, identity):
+    h = manifold_from_brackets(WITNESS_INPUTS[inputs])
+    with pytest.raises(ExistenceError, match="does not admit a natural connection") as exc:
+        structure_torsion(h, alpha)
+    found = WITNESS.search(str(exc.value))
+    assert found, str(exc.value)
+    assert found["name"] == identity
+    if identity.startswith("L_xi g"):
+        # the Killing defect is named only where the cyclic sum vanishes
+        assert not any(dense_identity(h, alpha, f"the cyclic sum of F_{alpha}").values())
+    dense = dense_identity(h, alpha, identity)
+    nonzero = [(idx, v) for idx, v in dense.items() if v]
+    assert int(found["total"]) == len(dense)
+    assert int(found["count"]) == len(nonzero)
+    first = tuple(int(i) for i in found["idx"].split(", "))
+    assert (first, Fraction(found["value"])) == nonzero[0]
 
 
 class TestTorsionForms:
@@ -209,11 +309,6 @@ class TestCoincidence:
     def test_gating_without_force(self, solvable):
         with pytest.raises(ExistenceError):
             coincidence_check(solvable)
-
-    def test_forced_comparison_still_reports(self, solvable):
-        c = coincidence_check(solvable, force=True)
-        assert set(c.torsions_equal) == {(1, 2), (1, 3), (2, 3)}
-        assert c.routes_agree
 
     def test_verdict_stable_across_lambda(self, lam_family):
         for lam in (Fraction(1), Fraction(-3), Fraction(5, 2)):

@@ -326,6 +326,17 @@ class TestCLI:
         assert run(["validate", str(p)]) == 2
         assert "/metric: expected 50 rows" in capsys.readouterr().err
 
+    def test_non_natural_connection_exits_1(self, capsys, monkeypatch):
+        import hn3.connections
+
+        # a wrong closed form that is still a 3-form: the connection it builds
+        # passes the round trip but not the naturality report
+        torsion = hn3.connections._torsion
+        monkeypatch.setattr(hn3.connections, "_torsion", lambda h, a: torsion(h, a) * 2)
+        code, reports = run_json(capsys, ["connection", "--example", "--json"])
+        assert code == 1
+        assert [r["status"] for r in reports] == ["fail"] * 3 + ["pass"]
+
     def test_failed_torsion_round_trip_exits_1(self, capsys, monkeypatch):
         import hn3.connections
 
@@ -360,15 +371,14 @@ class TestCLI:
             assert run(["compute", "--tensor", name, "--example"]) == 0
             capsys.readouterr()
 
-    def test_forced_compute_warns(self, tmp_path, capsys):
-        p = tmp_path / "solvable.json"
-        dump_structure(manifold_from_brackets(SOLVABLE_BRACKETS), p)
-        assert run(["compute", "--tensor", "T2", str(p), "--force"]) == 0
-        assert "existence precondition fails" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("command", ["validate", "classify", "product", "example"])
+    @pytest.mark.parametrize(
+        "command",
+        ["validate", "classify", "product", "example", "compute --tensor T1", "connection"],
+    )
     def test_force_only_where_a_precondition_can_fail(self, command, capsys):
-        assert run([command, "--example", "--force"]) == 2
+        # no subcommand computes past a failed precondition: the existence
+        # error names a witness of the failure instead
+        assert run([*command.split(), "--example", "--force"]) == 2
         assert "unrecognized arguments: --force" in capsys.readouterr().err
 
     def test_failed_emit_says_writing_failed(self, tmp_path, capsys):

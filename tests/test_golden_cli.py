@@ -39,7 +39,6 @@ COMMANDS = (
     ("validate",),
     ("classify",),
     ("connection",),
-    ("connection", "--force"),
     ("product", "--alpha", "1", "--beta", "2"),
     ("product", "--alpha", "2"),
     ("compute", "--tensor", "F1"),

@@ -52,6 +52,9 @@ GUARDS = [
     # hn3.tensor
     ("contra", lambda: Tensor(2, 1, 2, [0] * 8), ShapeError, "contra must be 0 or 1"),
     ("arity", lambda: Tensor(0, 0, 2, [1]), ShapeError, "arity must be at least 1"),
+    ("empty covector", lambda: covector([]), ShapeError, "tensor dimension must be at least 1"),
+    ("empty zero tensor", lambda: Tensor.zeros(0, 1, 0), ShapeError,
+     "tensor dimension must be at least 1"),
     ("operator size", lambda: precompose(G, I3, 0), ShapeError, "operator dimension mismatch"),
     ("operator square", lambda: tensor_from_operator(ROW), ShapeError, "operator must be square"),
     ("(1,1) tensor", lambda: operator_from_tensor(G), ShapeError, "need a (1,1) tensor"),
@@ -78,6 +81,8 @@ GUARDS = [
     ("wedge first", lambda: wedge_1_2(G, G), ShapeError, "first factor must be a one-form"),
     ("wedge second", lambda: wedge_1_2(ETA, ETA), ShapeError, "second factor must be a two-form"),
     # hn3.liealg
+    ("empty algebra", lambda: LieAlgebra.from_nonzero(0, {}), ShapeError,
+     "Lie algebra dimension must be at least 1"),
     ("bracket valence", lambda: LieAlgebra(2, G), ShapeError,
      "structure constants form a (1,2) tensor"),
     ("bracket size", lambda: LieAlgebra(3, Tensor.zeros(1, 2, 2)), ShapeError,
@@ -106,6 +111,10 @@ GUARDS = [
     ("index count", lambda: V3[0, 1], ShapeError, "expected 1 indices, got 2"),
     ("empty vector", lambda: Vector([]), ShapeError, "empty vector"),
     ("empty matrix", lambda: Matrix([]), ShapeError, "empty matrix"),
+    ("empty zero vector", lambda: Vector.zero(0), ShapeError, "empty vector"),
+    ("empty diagonal", lambda: Matrix.diagonal([]), ShapeError, "empty matrix"),
+    ("empty zero matrix", lambda: Matrix.zeros(0), ShapeError, "empty matrix"),
+    ("empty identity", lambda: Matrix.identity(0), ShapeError, "empty matrix"),
     ("matmul", lambda: ROW @ ROW, ShapeError, "cannot multiply (1, 2) by (1, 2)"),
     ("apply", lambda: I2.apply(V3), ShapeError, "cannot apply (2, 2) to an array of shape (3,)"),
     ("inverse", lambda: ROW.inverse(), ShapeError, "only square matrices have inverses"),

@@ -117,11 +117,13 @@ def per_alpha(built: Counter) -> Counter:
 def test_pipeline_computes_each_object_once(calls):
     h = counting_manifold()
     classify(h)
+    torsions = [structure_torsion(h, a) for a in (1, 2, 3)]
     for a in (1, 2, 3):
-        natural_connection(h, a, structure_torsion(h, a))
-    assert calls["connection_torsion"] == 3
+        natural_connection(h, a, torsions[a - 1])
+    # a connection is kept per torsion value, and T_3 = T_1 here
+    assert calls["connection_torsion"] == 2
     coincidence_check(h)
-    assert calls["connection_torsion"] == 3  # D_1, D_2, D_3 were reused
+    assert calls["connection_torsion"] == 2  # D_1 = D_3 and D_2 were reused
     assert calls["covariant_derivative"] == 6  # F_a and d eta_a, once each
     stored = h._memo.stored
     for built in (
@@ -129,9 +131,9 @@ def test_pipeline_computes_each_object_once(calls):
         "nijenhuis_tensor",
         "associated_nijenhuis",
         "_torsion",
-        "_connection_with_torsion",
     ):
         assert per_alpha(stored[built]) == ONCE_EACH, built
+    assert stored["_connection_with_torsion"] == Counter((t,) for t in set(torsions))
 
 
 def test_each_class_condition_is_evaluated_once(monkeypatch):
@@ -187,12 +189,14 @@ def test_equal_torsions_share_one_connection(calls):
     double = natural_connection(h, 1, own.torsion * 2)
     assert double is not own and double.torsion == own.torsion * 2
     assert natural_connection(h, 1, own.torsion * 2) is double
+    # D = LC + T/2 does not depend on the structure number, and T_3 = T_1 here
+    assert natural_connection(h, 3) is own
     assert calls["connection_torsion"] == 2
 
 
-def test_connection_command_builds_three_connections(calls, capsys):
+def test_connection_command_builds_one_connection_per_torsion(calls, capsys):
     assert run(["connection", "--example", "--json"]) == 0
-    assert calls["connection_torsion"] == 3
+    assert calls["connection_torsion"] == 2  # T_1 = T_3 on the example
     assert calls["covariant_derivative"] == 3  # F_1, F_2, F_3
     # no N̂_a either: the class conditions are coincidence_check's one
     # existence gate, since by the paper's theorem they hold exactly when N̂_a = 0
