@@ -167,7 +167,7 @@ def _cmd_classify(h: HN3Manifold, args) -> tuple[int, list[Report]]:
 def _failed_precondition(report: Report, exc: ExistenceError) -> Report:
     """Record a failed existence precondition in the report and on stderr."""
     print(f"check failed: {exc}", file=sys.stderr)
-    report.warnings.append(str(exc))
+    report.not_run(str(exc))
     return report
 
 

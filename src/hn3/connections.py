@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .errors import ExistenceError, SymmetryError, ValidationError
 from .liealg import Connection, connection_torsion, covariant_derivative, \
     covariant_derivative_vector
+from .linalg import Matrix
 from .nijenhuis import (
     exterior_d_eta,
     fundamental_tensor,
@@ -41,7 +42,6 @@ from .tensor import (
     cyclic_sum,
     is_three_form,
     lower,
-    metric_tensor,
     permute_args,
     precompose,
     raise_last,
@@ -71,11 +71,16 @@ def class_condition_alpha23(h: HN3Manifold, alpha: int, fund: Tensor | None = No
 
 
 @derived
+def _phi1_composed(h: HN3Manifold, fund: Tensor) -> tuple[Tensor, Tensor]:
+    """``F(phi x, y, z)`` and ``F(x, y, phi z)`` for the first phi: the class and T_1 share them."""
+    phi = h.phi(1)
+    return precompose(fund, phi, 0), precompose(fund, phi, 2)
+
+
+@derived
 def _reflection_defect(h: HN3Manifold, fund: Tensor) -> Tensor:
     """The left side of the reflection identity, zero exactly inside the first class."""
-    phi = h.phi(1)
-    a = precompose(fund, phi, 0)
-    b = precompose(fund, phi, 2)
+    a, b = _phi1_composed(h, fund)
     return a + permute_args(a, (1, 0, 2)) + b + permute_args(b, (1, 0, 2))
 
 
@@ -150,11 +155,12 @@ def _torsion(h: HN3Manifold, alpha: int) -> Tensor:
     """The raw torsion expression, a 3-form where the class condition holds."""
     f = fundamental_tensor(h, alpha)
     phi, xi, eta = h.phi(alpha), h.xi(alpha), h.eta(alpha)
-    w = contract_arg_with_vector(precompose(f, phi, 1), xi, 2)  # F(x, phi y, xi)
-    b = precompose(f, phi, 2)  # F(x, y, phi z)
+    w = precompose(contract_arg_with_vector(f, xi, 2), phi, 1)  # F(x, phi y, xi)
     if alpha == 1:
-        c = permute_args(precompose(f, phi, 0), (2, 0, 1))  # F(phi z, x, y)
+        a, b = _phi1_composed(h, f)  # F(phi x, y, z), F(x, y, phi z)
+        c = permute_args(a, (2, 0, 1))  # F(phi z, x, y)
         return b - permute_args(b, (1, 0, 2)) - c + tensor_product(w, eta) * 2
+    b = precompose(f, phi, 2)  # F(x, y, phi z)
     return cyclic_sum(b - tensor_product(eta, w) * 3) * MINUS_HALF
 
 
@@ -191,13 +197,20 @@ def _connection_with_torsion(h: HN3Manifold, t: Tensor) -> NaturalConnection:
     return NaturalConnection(conn, t)
 
 
+def _metric_derivative(conn: Connection, g: Matrix) -> Tensor:
+    """``(D_x g)(y, z) = -g(D_x y, z) - g(y, D_x z)``: two lowerings of D, one if g is symmetric."""
+    low = lower(conn.gamma, g)  # g(D_x y, z)
+    swapped = low if g.is_symmetric() else lower(conn.gamma, g.transpose())  # g(z, D_x y)
+    return -(low + permute_args(swapped, (0, 2, 1)))
+
+
 def naturality_report(conn: Connection, h: HN3Manifold, alpha: int) -> Report:
     """Does the connection annihilate phi, xi, eta and g of one structure?"""
     report = Report(f"naturality for structure {alpha}")
     dphi = covariant_derivative(conn, tensor_from_operator(h.phi(alpha)))
     dxi = covariant_derivative_vector(conn, h.xi(alpha))
     deta = covariant_derivative(conn, h.eta(alpha))
-    dg = covariant_derivative(conn, metric_tensor(h.metric))
+    dg = _metric_derivative(conn, h.metric)
     for name, t in (("D.phi", dphi), ("D.xi", dxi), ("D.eta", deta), ("D.g", dg)):
         for idx, value in t.nonzero():
             report.require(name, tuple(i + 1 for i in idx), value, 0)

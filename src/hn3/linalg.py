@@ -28,7 +28,12 @@ from .errors import ShapeError, SingularMatrixError, SymmetryError
 from .rational import ZERO, as_scalar, from_ratio, reduced, split, to_ints
 
 
-def contract(*terms: tuple[Array, int, tuple[int, dict]]) -> tuple[dict, int]:
+# a grouping whose groups average this many nonzeros is wide: ``contract``
+# sums it per output row, and the key of each output entry is built once
+WIDE = 3
+
+
+def contract(*terms: tuple[Array, int, tuple[int, dict, list | None]]) -> tuple[dict, int]:
     """Sum over one index per term, in ints; returns the canonical ``(comps, den)``.
 
     A term ``(t, pos, lines)`` sums over the index in slot ``pos`` of
@@ -36,11 +41,22 @@ def contract(*terms: tuple[Array, int, tuple[int, dict]]) -> tuple[dict, int]:
     p)`` in group ``m`` of ``lines`` (as ``Array.lines`` builds them) and
     adds ``p * t[..]`` at ``prefix + head + infix + tail``.  Each term is
     scaled to the common denominator once, so every product adds as an int.
+    When every grouping is wide the sums run per output row (``_row_sums``),
+    otherwise product by product (``_pair_sums``).
     """
-    common = lcm(*(t.den * den for t, _, (den, _) in terms))
+    if all(fields is not None for _, _, (_, _, fields) in terms):
+        return _row_sums(*terms)
+    return _pair_sums(*terms)
+
+
+def _pair_sums(*terms) -> tuple[dict, int]:
+    """``contract`` adding each product at its output key, built per product."""
+    common = lcm(*(t.den * den for t, _, (den, _, _) in terms))
     acc: dict = {}
     get = acc.get
-    for t, pos, (den, groups) in terms:
+    for t, pos, (den, groups, fields) in terms:
+        if fields is not None:  # a wide grouping in a sum with a narrow one
+            groups = {m: [(*fields[f], p) for f, p in g] for m, g in groups.items()}
         scale = common // (t.den * den)
         for idx, v in t.comps.items():
             group = groups.get(idx[pos])
@@ -54,6 +70,38 @@ def contract(*terms: tuple[Array, int, tuple[int, dict]]) -> tuple[dict, int]:
     return reduced(acc, common)
 
 
+def _row_sums(*terms) -> tuple[dict, int]:
+    """``contract`` over wide groupings: per row ``head + tail`` of ``t``, sums by field id.
+
+    A wide group lists ``(f, p)``, where ``fields[f]`` is the ``(prefix,
+    infix)`` of the entry; the key of an output entry is built once per term.
+    """
+    common = lcm(*(t.den * den for t, _, (den, _, _) in terms))
+    acc: dict = {}
+    get = acc.get
+    for t, pos, (den, groups, fields) in terms:
+        rows: dict = {}
+        for idx, v in t.comps.items():
+            group = groups.get(idx[pos])
+            if group is None:
+                continue
+            row = idx[:pos] + idx[pos + 1:]
+            sums = rows.get(row)
+            if sums is None:
+                sums = rows[row] = {}
+            at = sums.get
+            for f, p in group:
+                sums[f] = at(f, 0) + p * v
+        scale = common // (t.den * den)
+        for row, sums in rows.items():
+            head, tail = row[:pos], row[pos:]
+            for f, s in sums.items():
+                prefix, infix = fields[f]
+                key = prefix + head + infix + tail
+                acc[key] = get(key, 0) + s * scale
+    return reduced(acc, common)
+
+
 def outer(left: Array, right: Array) -> tuple[dict, int]:
     """Numerators and denominator of the tensor product: ``left[i] * right[j]`` at ``i + j``."""
     # only one side's numerators and the other's denominator share factors
@@ -61,6 +109,23 @@ def outer(left: Array, right: Array) -> tuple[dict, int]:
     ls = [(i, a // gl) for i, a in left.comps.items()]
     rs = [(j, b // gr) for j, b in right.comps.items()]
     return {i + j: a * b for i, a in ls for j, b in rs}, left.den // gr * (right.den // gl)
+
+
+def _groups(comps: dict, axis: int, prefix: int) -> dict[int, list]:
+    """``{m: [(prefix, infix, p), ..]}`` as ``Array.lines`` describes it."""
+    groups: dict = {}
+    for idx, v in comps.items():
+        infix = idx[prefix:axis] + idx[axis + 1:]
+        groups.setdefault(idx[axis], []).append((idx[:prefix], infix, v))
+    return groups
+
+
+def _widened(groups: dict[int, list]) -> tuple[dict[int, list], list]:
+    """The same groups as ``(field id, p)`` pairs, and the ``(prefix, infix)`` of each id."""
+    ids: dict = {}
+    wide = {m: [(ids.setdefault((pre, inf), len(ids)), p) for pre, inf, p in g]
+            for m, g in groups.items()}
+    return wide, list(ids)
 
 
 class Array:
@@ -160,22 +225,24 @@ class Array:
         key = itemgetter(*order)
         return {key(idx): v for idx, v in self.comps.items()}, self.den
 
-    def lines(self, axis: int, prefix: int = 0) -> tuple[int, dict[int, list]]:
-        """The denominator, and the nonzeros grouped by their index on ``axis``, for ``contract``.
+    def lines(self, axis: int, prefix: int = 0) -> tuple[int, dict[int, list], list | None]:
+        """The denominator and the nonzeros grouped by their index on ``axis``, for ``contract``.
 
         Group ``m`` lists ``(prefix, infix, p)`` for the entries with index
         ``m`` on ``axis``: the other indices, the first ``prefix`` (at most
-        ``axis``) of them split off, and the numerator.  Built once per array.
+        ``axis``) of them split off, and the numerator; the third item is
+        None.  A wide grouping (at least ``WIDE`` entries per group on
+        average) lists ``(f, p)`` instead, with ``(prefix, infix)`` kept once
+        in the third item, a list, at position ``f``.  Built once per array.
         """
         if not hasattr(self, "_lines"):
             self._lines = {}
         out = self._lines.get((axis, prefix))
         if out is None:
-            groups: dict = {}
-            for idx, v in self.comps.items():
-                infix = idx[prefix:axis] + idx[axis + 1:]
-                groups.setdefault(idx[axis], []).append((idx[:prefix], infix, v))
-            out = self._lines[axis, prefix] = self.den, groups
+            groups, fields = _groups(self.comps, axis, prefix), None
+            if len(self.comps) >= WIDE * len(groups):
+                groups, fields = _widened(groups)
+            out = self._lines[axis, prefix] = self.den, groups, fields
         return out
 
     def nonzero(self):
@@ -211,6 +278,8 @@ class Vector(Array):
     @classmethod
     def basis(cls, n: int, i: int) -> Vector:
         """The ``i``-th standard basis vector (0-based) in dimension ``n``."""
+        if not 0 <= i < n:
+            raise ShapeError(f"basis index {i} out of range 0..{n - 1}")
         return cls.from_ints((n,), {(i,): 1}, 1)
 
     def __len__(self) -> int:

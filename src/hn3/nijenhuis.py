@@ -3,10 +3,11 @@
 For each structure the module computes the fundamental (0,3) tensor, the
 Nijenhuis tensor built from Lie brackets, its associated sibling built
 from the symmetric braces, and the four associated components that govern
-the product extension.  Alongside the definitional routes it carries the
-closed-form expansions in terms of the fundamental tensor; the two kinds
-of route are algebraically equal, which the test suite exploits as a
-cross-check of every contraction in sight.
+the product extension.  Both Nijenhuis tensors come from one pairing on
+the Levi-Civita derivative of phi (``_phi_pairing``).  Alongside the
+definitional routes it carries the closed-form expansions in terms of the
+fundamental tensor; the two kinds of route are algebraically equal, which
+the test suite exploits as a cross-check of every contraction in sight.
 
 Slot conventions are those of ``hn3.tensor``; the structure index
 ``alpha`` is 1-based everywhere.  Functions marked ``@derived`` run once
@@ -16,8 +17,9 @@ per manifold and structure.
 from __future__ import annotations
 
 from .errors import ShapeError
-from .linalg import Matrix
+from .linalg import Matrix, contract
 from .liealg import (
+    connection_torsion,
     covariant_derivative,
     covariant_derivative_vector,
     lie_derivative_covector,
@@ -42,11 +44,16 @@ from .tensor import (
 
 
 @derived
+def _phi_derivative(h: HN3Manifold, alpha: int) -> Tensor:
+    """``(D_x phi) y`` for the Levi-Civita D, direction slot first."""
+    phi = tensor_from_operator(h.phi(alpha))
+    return covariant_derivative(h.mla.levi_civita, phi)
+
+
+@derived
 def fundamental_tensor(h: HN3Manifold, alpha: int) -> Tensor:
     """(0,3) tensor ``F(x, y, z) = g((D_x phi) y, z)`` for the Levi-Civita D."""
-    phi = tensor_from_operator(h.phi(alpha))
-    dphi = covariant_derivative(h.mla.levi_civita, phi)
-    return lower(dphi, h.metric)
+    return lower(_phi_derivative(h, alpha), h.metric)
 
 
 def check_fundamental_properties(fund: Tensor, h: HN3Manifold, alpha: int) -> Report:
@@ -123,28 +130,61 @@ def _second_order_bracket(base: Tensor, a: Matrix, b: Matrix | None = None) -> T
 
 
 @derived
+def _phi_pairing(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
+    """``A(x, y) = (D_{phi x} phi) y - phi((D_x phi) y)``, D Levi-Civita, and its (0,3) form.
+
+    With ``(D_x phi) y = G(x, phi y) - phi G(x, y)`` for the coefficients
+    G, A is ``_second_order_bracket(G, phi)``.  That pairing is linear in
+    its base and swaps its arguments with the base's, so on the braces
+    ``G + G^T`` it is ``A + A^T``, and on the brackets ``G - G^T - tau``
+    it is ``A - A^T`` less the pairing on tau: both Nijenhuis tensors
+    come from A.
+    """
+    dphi, phi = _phi_derivative(h, alpha), h.phi(alpha)
+    pairing = precompose(dphi, phi, 0) - postcompose(dphi, phi)
+    return pairing, lower(pairing, h.metric)
+
+
+def _lowered_xi(h: HN3Manifold, alpha: int) -> Tensor:
+    """``g(xi, .)``: ``lower(times_vector(t, xi), g)`` is ``tensor_product(t, g(xi, .))``."""
+    # g(xi, e_z) = sum_m xi[m] g[m, z]
+    return Tensor.from_ints(0, 1, h.dim, *contract((h.metric, 0, h.xi(alpha).lines(0))))
+
+
+@derived
+def _levi_civita_torsion(h: HN3Manifold) -> Tensor:
+    """``tau = D_x y - D_y x - [x, y]`` for the Levi-Civita D, zero for an antisymmetric bracket."""
+    return connection_torsion(h.mla.levi_civita, h.mla.algebra)
+
+
+@derived
 def nijenhuis_tensor(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
     """Nijenhuis tensor ``[phi, phi] + xi (x) d eta`` as a (1,2) and its (0,3) form."""
-    phi = h.phi(alpha)
-    vec = _second_order_bracket(h.mla.algebra.bracket, phi) + times_vector(
-        exterior_d_eta(h, alpha), h.xi(alpha)
-    )
-    return vec, lower(vec, h.metric)
+    pairing, low = _phi_pairing(h, alpha)
+    deta = exterior_d_eta(h, alpha)
+    vec = pairing - swap_args(pairing, 0, 1) + times_vector(deta, h.xi(alpha))
+    form = low - swap_args(low, 0, 1) + tensor_product(deta, _lowered_xi(h, alpha))
+    tau = _levi_civita_torsion(h)
+    if not tau.is_zero():  # a bracket that is not antisymmetric
+        rest = _second_order_bracket(tau, h.phi(alpha))
+        vec, form = vec - rest, form - lower(rest, h.metric)
+    return vec, form
 
 
 def phi_braces(h: HN3Manifold, alpha: int) -> Tensor:
-    """Symmetric analogue of ``[phi, phi]`` built on the braces pairing."""
-    phi = h.phi(alpha)
-    return _second_order_bracket(h.mla.braces, phi)
+    """Symmetric analogue of ``[phi, phi]`` built on the braces pairing: ``A + A^T``."""
+    pairing = _phi_pairing(h, alpha)[0]
+    return pairing + swap_args(pairing, 0, 1)
 
 
 @derived
 def associated_nijenhuis(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
     """Associated Nijenhuis tensor ``{phi, phi} - eps xi (x) L_xi g`` and its (0,3) form."""
-    vec = phi_braces(h, alpha) - times_vector(
-        metric_lie_derivative(h, alpha), h.xi(alpha)
-    ) * h.eps(alpha)
-    return vec, lower(vec, h.metric)
+    low = _phi_pairing(h, alpha)[1]
+    lg, eps = metric_lie_derivative(h, alpha), h.eps(alpha)
+    vec = phi_braces(h, alpha) - times_vector(lg, h.xi(alpha)) * eps
+    form = low + swap_args(low, 0, 1) - tensor_product(lg, _lowered_xi(h, alpha)) * eps
+    return vec, form
 
 
 def hat_components(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:

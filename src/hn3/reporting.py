@@ -2,7 +2,9 @@
 
 A report collects everything one check produced: componentwise violations
 (index tuple, both sides of the failed identity), free-form warnings,
-boolean or textual findings, and optionally tensors to display.  The JSON
+boolean or textual findings, and optionally tensors to display.  Its
+status is ``fail`` with a violation, ``warn`` when a failed precondition
+kept the check from running, and ``pass`` otherwise.  The JSON
 rendering contains exactly the same data.
 """
 
@@ -35,6 +37,7 @@ class Report:
     warnings: list[str] = field(default_factory=list)
     findings: dict[str, bool | str] = field(default_factory=dict)
     tensors: dict[str, TensorEntries] = field(default_factory=dict)
+    ran: bool = True  # False when a failed precondition stopped the check
 
     @property
     def passed(self) -> bool:
@@ -42,7 +45,15 @@ class Report:
 
     @property
     def status(self) -> str:
-        return "pass" if self.passed else "fail"
+        """``fail`` on a violation, ``warn`` when the check did not run, else ``pass``."""
+        if self.violations:
+            return "fail"
+        return "pass" if self.ran else "warn"
+
+    def not_run(self, reason: str) -> None:
+        """Record why the check could not run; its status becomes ``warn``."""
+        self.warnings.append(reason)
+        self.ran = False
 
     def require(self, identity: str, indices: tuple[int, ...], lhs, rhs) -> None:
         """Record a violation when the two sides differ (exact comparison)."""

@@ -291,11 +291,15 @@ class TestCLI:
         p = tmp_path / "solvable.json"
         dump_structure(manifold_from_brackets(SOLVABLE_BRACKETS), p)
         assert run(["connection", str(p)]) == 1
-        assert "does not admit a natural connection" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "does not admit a natural connection" in err
+        # a check stopped by its precondition is a warning, never a pass
+        assert out.count("[WARN]") == 4 and "[PASS]" not in out
         # the reports still reach stdout: every structure fails its class
         # condition, and the coincidence report names the failing ones
         code, reports = run_json(capsys, ["connection", str(p), "--json"])
         assert code == 1
+        assert [r["status"] for r in reports] == ["warn"] * 4
         checks = [r["check"] for r in reports]
         assert checks == [f"naturality for structure {a}" for a in (1, 2, 3)] + [
             "coincidence of the three natural connections"

@@ -112,6 +112,9 @@ GUARDS = [
     ("empty vector", lambda: Vector([]), ShapeError, "empty vector"),
     ("empty matrix", lambda: Matrix([]), ShapeError, "empty matrix"),
     ("empty zero vector", lambda: Vector.zero(0), ShapeError, "empty vector"),
+    ("basis index", lambda: Vector.basis(3, 5), ShapeError, "basis index 5 out of range 0..2"),
+    ("negative basis index", lambda: Vector.basis(3, -1), ShapeError,
+     "basis index -1 out of range 0..2"),
     ("empty diagonal", lambda: Matrix.diagonal([]), ShapeError, "empty matrix"),
     ("empty zero matrix", lambda: Matrix.zeros(0), ShapeError, "empty matrix"),
     ("empty identity", lambda: Matrix.identity(0), ShapeError, "empty matrix"),

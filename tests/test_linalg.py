@@ -119,8 +119,16 @@ class TestMatrix:
         assert m.lines(1, prefix=1) is not m.lines(1)
         # the array's denominator once, then (prefix, infix, numerator) per entry
         assert m.lines(1) == (
-            2, {0: [((), (0,), 2)], 1: [((), (1,), 3)], 2: [((), (0,), 4)]}
+            2, {0: [((), (0,), 2)], 1: [((), (1,), 3)], 2: [((), (0,), 4)]}, None
         )
+        # a wide grouping (three entries per group here) keeps each (prefix,
+        # infix) once and lists (field id, numerator) per entry, nothing else
+        w = Matrix([[1, 2], [3, 4], [5, 6]])
+        assert w.lines(1) == (
+            1, {0: [(0, 1), (1, 3), (2, 5)], 1: [(0, 2), (1, 4), (2, 6)]},
+            [((), (0,)), ((), (1,)), ((), (2,))],
+        )
+        assert w.lines(0, prefix=0)[2] is None  # two entries per group
 
     def test_tensor_arithmetic_does_no_fraction_work(self, monkeypatch):
         # dense factors with unlike denominators: every kernel and entrywise

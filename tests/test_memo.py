@@ -1,9 +1,9 @@
 """Each derived object is computed once per manifold and freed with it.
 
 A counting memo records what a manifold stores, and counting wrappers
-around ``covariant_derivative`` (which builds F_a and d eta_a),
-``phi_braces`` (which builds {phi_a, phi_a} for the associated N_a, and
-nowhere else),
+around ``covariant_derivative`` (which builds D phi_a and d eta_a),
+``postcompose`` (which applies phi_a to D phi_a for the pairing A_a that
+both Nijenhuis tensors share, and runs nowhere else on these inputs),
 ``connection_torsion`` (the round trip that builds each natural
 connection D_a) and the four validators catch any computation that
 bypasses the memo.
@@ -82,10 +82,10 @@ def count_calls(monkeypatch, calls: Counter, module, name: str) -> None:
 
 @pytest.fixture()
 def calls(monkeypatch):
-    """Calls of covariant_derivative, phi_braces and connection_torsion."""
+    """Calls of covariant_derivative, postcompose and connection_torsion."""
     calls = Counter()
     count_calls(monkeypatch, calls, nijenhuis, "covariant_derivative")
-    count_calls(monkeypatch, calls, nijenhuis, "phi_braces")
+    count_calls(monkeypatch, calls, nijenhuis, "postcompose")
     count_calls(monkeypatch, calls, connections, "connection_torsion")
     return calls
 
@@ -124,16 +124,20 @@ def test_pipeline_computes_each_object_once(calls):
     assert calls["connection_torsion"] == 2
     coincidence_check(h)
     assert calls["connection_torsion"] == 2  # D_1 = D_3 and D_2 were reused
-    assert calls["covariant_derivative"] == 6  # F_a and d eta_a, once each
+    assert calls["covariant_derivative"] == 6  # D phi_a and d eta_a, once each
+    assert calls["postcompose"] == 3  # A_a, once each, for N_a and N̂_a
     stored = h._memo.stored
     for built in (
+        "_phi_derivative",
         "fundamental_tensor",
+        "_phi_pairing",
         "nijenhuis_tensor",
         "associated_nijenhuis",
         "_torsion",
     ):
         assert per_alpha(stored[built]) == ONCE_EACH, built
     assert stored["_connection_with_torsion"] == Counter((t,) for t in set(torsions))
+    assert stored["_levi_civita_torsion"] == Counter({(): 1})
 
 
 def test_each_class_condition_is_evaluated_once(monkeypatch):
@@ -165,9 +169,9 @@ def test_each_class_condition_is_evaluated_once(monkeypatch):
 def test_coincidence_reuses_the_classified_associated_tensors(calls):
     h = builtin_example(2)
     classify(h)
-    assert calls["phi_braces"] == 3
+    assert calls["postcompose"] == 3
     coincidence_check(h)
-    assert calls["phi_braces"] == 3  # {phi_a, phi_a} once per structure
+    assert calls["postcompose"] == 3  # A_a once per structure
 
 
 def test_hat_components_reuse_the_associated_tensors(calls):
@@ -177,7 +181,7 @@ def test_hat_components_reuse_the_associated_tensors(calls):
     stored = {name: Counter(c) for name, c in h._memo.stored.items()}
     for a in (1, 2, 3):
         hat_components(h, a)
-    assert calls["phi_braces"] == 3  # {phi_a, phi_a} once per structure
+    assert calls["postcompose"] == 3  # A_a once per structure
     assert h._memo.stored == stored  # and nothing new kept on the manifold
 
 
@@ -197,10 +201,10 @@ def test_equal_torsions_share_one_connection(calls):
 def test_connection_command_builds_one_connection_per_torsion(calls, capsys):
     assert run(["connection", "--example", "--json"]) == 0
     assert calls["connection_torsion"] == 2  # T_1 = T_3 on the example
-    assert calls["covariant_derivative"] == 3  # F_1, F_2, F_3
+    assert calls["covariant_derivative"] == 3  # D phi_a for F_1, F_2, F_3
     # no N̂_a either: the class conditions are coincidence_check's one
     # existence gate, since by the paper's theorem they hold exactly when N̂_a = 0
-    assert calls["phi_braces"] == 0
+    assert calls["postcompose"] == 0
 
 
 def test_classify_command_sums_each_fundamental_tensor_once(monkeypatch, capsys):

@@ -30,6 +30,15 @@ def test_str_is_the_rendering():
     assert str(report) == report.render() == "[PASS] r\n    warning: w"
 
 
+def test_a_check_that_did_not_run_warns():
+    report = Report("r")
+    report.not_run("w")
+    assert report.passed and report.to_json()["status"] == "warn"
+    assert report.render() == "[WARN] r\n    warning: w"
+    report.require("x", (1,), 1, 0)
+    assert report.status == "fail"
+
+
 def test_shapes_must_agree():
     with pytest.raises(ShapeError):
         Report("r").require_equal("m", (), Matrix.identity(2), Vector([1, 0, 0, 1]))

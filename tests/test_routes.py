@@ -1,0 +1,205 @@
+"""Each shortcut route equals, exactly, the route it replaced.
+
+The library builds both Nijenhuis tensors from one pairing on the
+Levi-Civita derivative of phi, plugs xi into F before phi, shares the
+phi-composed F_1 between the reflection identity and T_1, takes D g from
+lowered connection coefficients, and sums wide contractions per output
+row.  The functions below keep the replaced routes as references: the
+pairing ``_second_order_bracket`` on the brackets and on the braces,
+``covariant_derivative(conn, metric_tensor(g))``, the torsion with xi
+plugged in after phi, and the product-by-product contraction loop.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import SOLVABLE_BRACKETS
+from hn3 import (
+    Matrix,
+    associated_nijenhuis,
+    builtin_example,
+    exterior_d_eta,
+    fundamental_tensor,
+    metric_lie_derivative,
+    nijenhuis_tensor,
+    parse_structure,
+)
+from hn3.builtin import DIM, standard_metric, standard_structures
+from hn3.connections import _metric_derivative, _torsion
+from hn3.linalg import Array, _groups, _pair_sums, _row_sums, _widened, contract
+from hn3.liealg import (
+    Connection,
+    LieAlgebra,
+    MetricLieAlgebra,
+    connection_torsion,
+    covariant_derivative,
+)
+from hn3.nijenhuis import _second_order_bracket, phi_braces
+from hn3.rational import MINUS_HALF, reduced
+from hn3.structures import HN3Manifold
+from hn3.tensor import (
+    Tensor,
+    contract_arg_with_vector,
+    cyclic_sum,
+    lower,
+    metric_tensor,
+    permute_args,
+    precompose,
+    tensor_product,
+    times_vector,
+)
+from test_frame_covariance import elementary_product, is_signed_permutation, move, steps
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def bench_generators():
+    """``bench/gen.py``, the generator of the benchmark's ladder and frame files."""
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GEN = bench_generators()
+
+
+def old_nijenhuis(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
+    """``[phi, phi] + xi (x) d eta`` on the brackets, and its lowering."""
+    vec = _second_order_bracket(h.mla.algebra.bracket, h.phi(alpha)) + times_vector(
+        exterior_d_eta(h, alpha), h.xi(alpha)
+    )
+    return vec, lower(vec, h.metric)
+
+
+def old_associated(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
+    """``{phi, phi} - eps xi (x) L_xi g`` on the braces, and its lowering."""
+    braces = _second_order_bracket(h.mla.braces, h.phi(alpha))
+    vec = braces - times_vector(metric_lie_derivative(h, alpha), h.xi(alpha)) * h.eps(alpha)
+    return vec, lower(vec, h.metric)
+
+
+def old_torsion(h: HN3Manifold, alpha: int) -> Tensor:
+    """The raw torsion expression with xi plugged in after phi."""
+    f = fundamental_tensor(h, alpha)
+    phi, xi, eta = h.phi(alpha), h.xi(alpha), h.eta(alpha)
+    w = contract_arg_with_vector(precompose(f, phi, 1), xi, 2)  # F(x, phi y, xi)
+    b = precompose(f, phi, 2)
+    if alpha == 1:
+        c = permute_args(precompose(f, phi, 0), (2, 0, 1))
+        return b - permute_args(b, (1, 0, 2)) - c + tensor_product(w, eta) * 2
+    return cyclic_sum(b - tensor_product(eta, w) * 3) * MINUS_HALF
+
+
+def assert_routes_agree(h: HN3Manifold) -> None:
+    for a in (1, 2, 3):
+        assert nijenhuis_tensor(h, a) == old_nijenhuis(h, a), a
+        assert associated_nijenhuis(h, a) == old_associated(h, a), a
+        assert phi_braces(h, a) == _second_order_bracket(h.mla.braces, h.phi(a)), a
+        assert _torsion(h, a) == old_torsion(h, a), a
+    # Levi-Civita, where D g = 0, and a connection that does not preserve g
+    for conn in (h.mla.levi_civita, Connection(h.mla.levi_civita.gamma + h.mla.braces)):
+        assert _metric_derivative(conn, h.metric) == covariant_derivative(
+            conn, metric_tensor(h.metric)
+        )
+
+
+def test_every_fixture(bracket_fixtures):
+    for h in bracket_fixtures.values():
+        assert_routes_agree(h)
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["n=7", "n=11"])
+def test_the_ladder(m):
+    assert_routes_agree(parse_structure(GEN.ladder(m)))
+
+
+def test_a_benchmark_frame():
+    # the n = 7 frame, seed 3: the row loop runs on most of its contractions
+    assert_routes_agree(parse_structure(GEN.frame_change(GEN.ladder(1), 3, 1)))
+
+
+@given(st.lists(steps, min_size=2, max_size=4))
+@settings(max_examples=4, deadline=None)
+def test_changed_frames(factors):
+    p = elementary_product(factors)
+    assume(not is_signed_permutation(p))
+    assert_routes_agree(move(builtin_example(2), p))
+
+
+def test_a_bracket_missing_its_antisymmetric_partner():
+    # [e5, e1] = e1 without [e1, e5] = -e1: the Levi-Civita torsion is not
+    # zero, so the brackets are not D_x y - D_y x and the pairing on that
+    # torsion is subtracted from the Nijenhuis tensor
+    brackets = dict(SOLVABLE_BRACKETS)
+    del brackets[1, 5, 1]
+    algebra = LieAlgebra.from_nonzero(DIM, brackets)
+    h = HN3Manifold(MetricLieAlgebra(algebra, standard_metric()), standard_structures())
+    assert not connection_torsion(h.mla.levi_civita, algebra).is_zero()
+    for a in (1, 2, 3):
+        assert nijenhuis_tensor(h, a) == old_nijenhuis(h, a)
+        assert associated_nijenhuis(h, a) == old_associated(h, a)
+
+
+def test_a_metric_that_is_not_symmetric():
+    h = builtin_example(2)
+    g = h.metric + Matrix.outer(h.xi(1), h.xi(2)) * Fraction(3, 2)
+    assert not g.is_symmetric()
+    conn = Connection(h.mla.levi_civita.gamma + h.mla.braces)
+    assert _metric_derivative(conn, g) == covariant_derivative(conn, metric_tensor(g))
+
+
+# ---------------------------------------------------------------------------
+# The two loops of ``contract`` on random integer arrays.
+
+@st.composite
+def arrays(draw, n: int):
+    """An array of 1-3 slots of range n, sparse or dense, over a small denominator."""
+    shape = (n,) * draw(st.integers(1, 3))
+    cells = [()]
+    for _ in shape:
+        cells = [c + (i,) for c in cells for i in range(n)]
+    density = draw(st.sampled_from((0.1, 0.5, 1.0)))
+    comps = {
+        c: draw(st.integers(-9, 9)) for c in cells if draw(st.floats(0, 1)) < density
+    }
+    return Array.from_ints(shape, *reduced(comps, draw(st.integers(1, 6))))
+
+
+@st.composite
+def sums(draw):
+    """Terms ``(t, pos, u, axis, prefix)`` of one sum, over one index range."""
+    n = draw(st.integers(1, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        t, u = draw(arrays(n)), draw(arrays(n))
+        pos = draw(st.integers(0, len(t.shape) - 1))
+        axis = draw(st.integers(0, len(u.shape) - 1))
+        terms.append((t, pos, u, axis, draw(st.integers(0, axis))))
+    return terms
+
+
+def grouped(u: Array, axis: int, prefix: int, wide: bool) -> tuple:
+    """The grouping ``Array.lines`` builds, in the form asked for whatever u's density."""
+    groups = _groups(u.comps, axis, prefix)
+    return (u.den, *_widened(groups)) if wide else (u.den, groups, None)
+
+
+@given(sums())
+@settings(max_examples=200, deadline=None)
+def test_both_loops_of_contract_agree(terms):
+    narrow = [(t, pos, grouped(u, axis, pre, False)) for t, pos, u, axis, pre in terms]
+    wide = [(t, pos, grouped(u, axis, pre, True)) for t, pos, u, axis, pre in terms]
+    expected = _pair_sums(*narrow)
+    assert _row_sums(*wide) == expected
+    # each loop reads the other's grouping too: a sum that mixes the two
+    # kinds runs product by product
+    mixed = [w if i % 2 else g for i, (g, w) in enumerate(zip(narrow, wide))]
+    assert contract(*mixed) == expected
+    assert _pair_sums(*wide) == expected
