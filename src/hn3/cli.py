@@ -32,12 +32,19 @@ from .errors import (
 from .fileio import dump_structure, load_structure
 from .nijenhuis import (
     associated_nijenhuis,
+    braces_nijenhuis_product,
     fundamental_tensor,
     metric_lie_derivative,
     nijenhuis_tensor,
 )
 from .reporting import Report
-from .structures import HN3Manifold, require_valid, validation_reports
+from .structures import (
+    HN3Manifold,
+    build_product,
+    require_valid,
+    validate_hypercomplex_hn,
+    validation_reports,
+)
 
 _TENSORS = (
     "F1", "F2", "F3",
@@ -202,9 +209,6 @@ def _cmd_connection(h: HN3Manifold, args) -> tuple[int, list[Report]]:
 
 
 def _cmd_product(h: HN3Manifold, args) -> tuple[int, list[Report]]:
-    from .nijenhuis import braces_nijenhuis_product
-    from .structures import build_product, validate_hypercomplex_hn
-
     p = build_product(h)
     reports = [validate_hypercomplex_hn(p)]
     if args.alpha or args.beta:

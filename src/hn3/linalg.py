@@ -8,7 +8,9 @@ constructors, ``__getitem__`` and ``nonzero``.  All arithmetic is written
 once, in ints.  Every product of two arrays runs in ``contract``, which
 sums over one shared index (matrix products, slot contractions, covariant
 derivatives, Jacobi sums), or ``outer``, the tensor product; both multiply
-nonzero entries only and reduce once per output array.
+nonzero entries only and reduce once per output array.  ``contract`` reads
+its second factor in one format, ``Array.lines``, and picks a loop per
+term: product by product, or per output row when the groups are wide.
 
 Matrices act on column vectors, so column ``j`` of an operator holds the
 image of the ``j``-th basis vector; entry ``(i, j)`` is keyed ``(i, j)``.
@@ -29,58 +31,40 @@ from .rational import ZERO, as_scalar, from_ratio, reduced, split, to_ints
 
 
 # a grouping whose groups average this many nonzeros is wide: ``contract``
-# sums it per output row, and the key of each output entry is built once
+# sums its term per output row, and the key of each output entry is built once
 WIDE = 3
 
 
-def contract(*terms: tuple[Array, int, tuple[int, dict, list | None]]) -> tuple[dict, int]:
+def contract(*terms: tuple[Array, int, tuple[int, dict, list, bool]]) -> tuple[dict, int]:
     """Sum over one index per term, in ints; returns the canonical ``(comps, den)``.
 
     A term ``(t, pos, lines)`` sums over the index in slot ``pos`` of
-    ``t``: each nonzero ``t[head, m, tail]`` meets every ``(prefix, infix,
-    p)`` in group ``m`` of ``lines`` (as ``Array.lines`` builds them) and
-    adds ``p * t[..]`` at ``prefix + head + infix + tail``.  Each term is
-    scaled to the common denominator once, so every product adds as an int.
-    When every grouping is wide the sums run per output row (``_row_sums``),
-    otherwise product by product (``_pair_sums``).
+    ``t``: each nonzero ``t[head, m, tail]`` meets every ``(f, p)`` in
+    group ``m`` of ``lines`` (as ``Array.lines`` builds them) and adds
+    ``p * t[..]`` at ``prefix + head + infix + tail``, where ``(prefix,
+    infix)`` is field ``f``.  Each term is scaled to the common denominator
+    once, so every product adds as an int.  A term with a wide grouping sums
+    per output row of ``t`` by field id and builds each output key once;
+    any other term adds product by product.
     """
-    if all(fields is not None for _, _, (_, _, fields) in terms):
-        return _row_sums(*terms)
-    return _pair_sums(*terms)
-
-
-def _pair_sums(*terms) -> tuple[dict, int]:
-    """``contract`` adding each product at its output key, built per product."""
-    common = lcm(*(t.den * den for t, _, (den, _, _) in terms))
+    common = lcm(*(t.den * den for t, _, (den, _, _, _) in terms))
     acc: dict = {}
     get = acc.get
-    for t, pos, (den, groups, fields) in terms:
-        if fields is not None:  # a wide grouping in a sum with a narrow one
-            groups = {m: [(*fields[f], p) for f, p in g] for m, g in groups.items()}
+    for t, pos, (den, groups, fields, wide) in terms:
         scale = common // (t.den * den)
-        for idx, v in t.comps.items():
-            group = groups.get(idx[pos])
-            if group is None:
-                continue
-            v *= scale
-            head, tail = idx[:pos], idx[pos + 1:]
-            for prefix, infix, p in group:
-                key = prefix + head + infix + tail
-                acc[key] = get(key, 0) + p * v
-    return reduced(acc, common)
-
-
-def _row_sums(*terms) -> tuple[dict, int]:
-    """``contract`` over wide groupings: per row ``head + tail`` of ``t``, sums by field id.
-
-    A wide group lists ``(f, p)``, where ``fields[f]`` is the ``(prefix,
-    infix)`` of the entry; the key of an output entry is built once per term.
-    """
-    common = lcm(*(t.den * den for t, _, (den, _, _) in terms))
-    acc: dict = {}
-    get = acc.get
-    for t, pos, (den, groups, fields) in terms:
-        rows: dict = {}
+        if not wide:  # product by product
+            for idx, v in t.comps.items():
+                group = groups.get(idx[pos])
+                if group is None:
+                    continue
+                v *= scale
+                head, tail = idx[:pos], idx[pos + 1:]
+                for f, p in group:
+                    prefix, infix = fields[f]
+                    key = prefix + head + infix + tail
+                    acc[key] = get(key, 0) + p * v
+            continue
+        rows: dict = {}  # per output row of t, the sum of each field
         for idx, v in t.comps.items():
             group = groups.get(idx[pos])
             if group is None:
@@ -92,7 +76,6 @@ def _row_sums(*terms) -> tuple[dict, int]:
             at = sums.get
             for f, p in group:
                 sums[f] = at(f, 0) + p * v
-        scale = common // (t.den * den)
         for row, sums in rows.items():
             head, tail = row[:pos], row[pos:]
             for f, s in sums.items():
@@ -111,21 +94,14 @@ def outer(left: Array, right: Array) -> tuple[dict, int]:
     return {i + j: a * b for i, a in ls for j, b in rs}, left.den // gr * (right.den // gl)
 
 
-def _groups(comps: dict, axis: int, prefix: int) -> dict[int, list]:
-    """``{m: [(prefix, infix, p), ..]}`` as ``Array.lines`` describes it."""
+def _groups(comps: dict, axis: int, prefix: int) -> tuple[dict[int, list], list]:
+    """The groups ``{m: [(f, p), ..]}`` and fields ``[(prefix, infix), ..]`` of ``Array.lines``."""
     groups: dict = {}
-    for idx, v in comps.items():
-        infix = idx[prefix:axis] + idx[axis + 1:]
-        groups.setdefault(idx[axis], []).append((idx[:prefix], infix, v))
-    return groups
-
-
-def _widened(groups: dict[int, list]) -> tuple[dict[int, list], list]:
-    """The same groups as ``(field id, p)`` pairs, and the ``(prefix, infix)`` of each id."""
     ids: dict = {}
-    wide = {m: [(ids.setdefault((pre, inf), len(ids)), p) for pre, inf, p in g]
-            for m, g in groups.items()}
-    return wide, list(ids)
+    for idx, v in comps.items():
+        f = ids.setdefault((idx[:prefix], idx[prefix:axis] + idx[axis + 1:]), len(ids))
+        groups.setdefault(idx[axis], []).append((f, v))
+    return groups, list(ids)
 
 
 class Array:
@@ -225,24 +201,23 @@ class Array:
         key = itemgetter(*order)
         return {key(idx): v for idx, v in self.comps.items()}, self.den
 
-    def lines(self, axis: int, prefix: int = 0) -> tuple[int, dict[int, list], list | None]:
-        """The denominator and the nonzeros grouped by their index on ``axis``, for ``contract``.
+    def lines(self, axis: int, prefix: int = 0) -> tuple[int, dict[int, list], list, bool]:
+        """``(den, groups, fields, wide)``: the nonzeros grouped by their index on ``axis``.
 
-        Group ``m`` lists ``(prefix, infix, p)`` for the entries with index
-        ``m`` on ``axis``: the other indices, the first ``prefix`` (at most
-        ``axis``) of them split off, and the numerator; the third item is
-        None.  A wide grouping (at least ``WIDE`` entries per group on
-        average) lists ``(f, p)`` instead, with ``(prefix, infix)`` kept once
-        in the third item, a list, at position ``f``.  Built once per array.
+        This is the one grouping ``contract`` reads.  Group ``m`` lists
+        ``(f, p)`` for each entry with index ``m`` on ``axis``: its
+        numerator ``p`` and the id ``f`` of its field ``fields[f] = (prefix,
+        infix)``, the other indices with the first ``prefix`` (at most
+        ``axis``) split off, each field kept once.  ``wide`` says the groups
+        average at least ``WIDE`` entries.  Built once per array.
         """
         if not hasattr(self, "_lines"):
             self._lines = {}
         out = self._lines.get((axis, prefix))
         if out is None:
-            groups, fields = _groups(self.comps, axis, prefix), None
-            if len(self.comps) >= WIDE * len(groups):
-                groups, fields = _widened(groups)
-            out = self._lines[axis, prefix] = self.den, groups, fields
+            groups, fields = _groups(self.comps, axis, prefix)
+            wide = len(self.comps) >= WIDE * len(groups)
+            out = self._lines[axis, prefix] = self.den, groups, fields, wide
         return out
 
     def nonzero(self):

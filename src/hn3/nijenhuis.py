@@ -200,7 +200,7 @@ def hat_components(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor, Tensor, 
     leta = reeb_lie_derivative_eta(h, alpha)
 
     hat1 = associated_nijenhuis(h, alpha)[0]
-    pb = hat1 + times_vector(lg, xi) * eps  # {phi, phi} = Nhat + eps xi (x) L_xi g
+    pb = phi_braces(h, alpha)  # {phi, phi} = A + A^T, on the memoized pairing A
     hat2 = (precompose(lg, phi, 0) + precompose(lg, phi, 1)) * (-eps)
 
     # hat3(x) = {phi,phi}(phi x, xi) + (L_xi eta)(phi x) xi + 2 eta(x) phi(D_xi xi)

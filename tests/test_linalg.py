@@ -117,18 +117,22 @@ class TestMatrix:
         assert m.lines(0) is m.lines(0)
         assert m.lines(1) is m.lines(1) and m.lines(1) is not m.lines(0)
         assert m.lines(1, prefix=1) is not m.lines(1)
-        # the array's denominator once, then (prefix, infix, numerator) per entry
+        # the denominator, then (field id, numerator) per entry with each
+        # (prefix, infix) kept once, and whether the groups are wide: one
+        # entry per group here, so contract sums this one product by product
         assert m.lines(1) == (
-            2, {0: [((), (0,), 2)], 1: [((), (1,), 3)], 2: [((), (0,), 4)]}, None
+            2, {0: [(0, 2)], 1: [(1, 3)], 2: [(0, 4)]}, [((), (0,)), ((), (1,))], False
         )
-        # a wide grouping (three entries per group here) keeps each (prefix,
-        # infix) once and lists (field id, numerator) per entry, nothing else
+        assert m.lines(1, prefix=1) == (
+            2, {0: [(0, 2)], 1: [(1, 3)], 2: [(0, 4)]}, [((0,), ()), ((1,), ())], False
+        )
+        # three entries per group: a wide grouping, summed per output row
         w = Matrix([[1, 2], [3, 4], [5, 6]])
         assert w.lines(1) == (
             1, {0: [(0, 1), (1, 3), (2, 5)], 1: [(0, 2), (1, 4), (2, 6)]},
-            [((), (0,)), ((), (1,)), ((), (2,))],
+            [((), (0,)), ((), (1,)), ((), (2,))], True,
         )
-        assert w.lines(0, prefix=0)[2] is None  # two entries per group
+        assert w.lines(0)[3] is False  # two entries per group
 
     def test_tensor_arithmetic_does_no_fraction_work(self, monkeypatch):
         # dense factors with unlike denominators: every kernel and entrywise

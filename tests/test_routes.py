@@ -7,12 +7,14 @@ lowered connection coefficients, and sums wide contractions per output
 row.  The functions below keep the replaced routes as references: the
 pairing ``_second_order_bracket`` on the brackets and on the braces,
 ``covariant_derivative(conn, metric_tensor(g))``, the torsion with xi
-plugged in after phi, and the product-by-product contraction loop.
+plugged in after phi, and each contraction summed cell by cell in
+Fractions.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from hn3 import (
 )
 from hn3.builtin import DIM, standard_metric, standard_structures
 from hn3.connections import _metric_derivative, _torsion
-from hn3.linalg import Array, _groups, _pair_sums, _row_sums, _widened, contract
+from hn3.linalg import Array, _groups, contract
 from hn3.liealg import (
     Connection,
     LieAlgebra,
@@ -186,9 +188,30 @@ def sums(draw):
 
 
 def grouped(u: Array, axis: int, prefix: int, wide: bool) -> tuple:
-    """The grouping ``Array.lines`` builds, in the form asked for whatever u's density."""
-    groups = _groups(u.comps, axis, prefix)
-    return (u.den, *_widened(groups)) if wide else (u.den, groups, None)
+    """The grouping ``Array.lines`` builds, with ``wide`` forced whatever u's density."""
+    return (u.den, *_groups(u.comps, axis, prefix), wide)
+
+
+def dense_sum(terms) -> dict:
+    """The sum of the terms over every cell of the output, in Fractions, zeros dropped.
+
+    Term ``(t, pos, u, axis, prefix)`` puts the sum over m of
+    ``t[head, m, tail] * u[rest with m at axis]`` at ``rest[:prefix] + head
+    + rest[prefix:] + tail``, for every ``head, tail`` of t and ``rest`` of u.
+    """
+    out: dict = {}
+    for t, pos, u, axis, prefix in terms:
+        n = t.shape[0]
+        for others in itertools.product(range(n), repeat=len(t.shape) - 1):
+            head, tail = others[:pos], others[pos:]
+            for rest in itertools.product(range(n), repeat=len(u.shape) - 1):
+                key = rest[:prefix] + head + rest[prefix:] + tail
+                total = sum(
+                    (t[head + (m,) + tail] * u[rest[:axis] + (m,) + rest[axis:]] for m in range(n)),
+                    Fraction(0),
+                )
+                out[key] = out.get(key, 0) + total
+    return {key: v for key, v in out.items() if v}
 
 
 @given(sums())
@@ -196,10 +219,12 @@ def grouped(u: Array, axis: int, prefix: int, wide: bool) -> tuple:
 def test_both_loops_of_contract_agree(terms):
     narrow = [(t, pos, grouped(u, axis, pre, False)) for t, pos, u, axis, pre in terms]
     wide = [(t, pos, grouped(u, axis, pre, True)) for t, pos, u, axis, pre in terms]
-    expected = _pair_sums(*narrow)
-    assert _row_sums(*wide) == expected
-    # each loop reads the other's grouping too: a sum that mixes the two
-    # kinds runs product by product
-    mixed = [w if i % 2 else g for i, (g, w) in enumerate(zip(narrow, wide))]
-    assert contract(*mixed) == expected
-    assert _pair_sums(*wide) == expected
+    expected = contract(*narrow)
+    assert contract(*wide) == expected
+    # each term picks its own loop, so one sum may mix the two in either order
+    for first, second in ((narrow, wide), (wide, narrow)):
+        mixed = [b if i % 2 else a for i, (a, b) in enumerate(zip(first, second))]
+        assert contract(*mixed) == expected
+    # and both equal the sum taken cell by cell, not only each other
+    comps, den = expected
+    assert {key: Fraction(v, den) for key, v in comps.items()} == dense_sum(terms)

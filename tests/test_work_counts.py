@@ -73,7 +73,7 @@ def work_per_stage(monkeypatch, data: dict) -> dict[str, tuple[int, int]]:
 
     def counting(*terms):
         calls[stage] += 1
-        for t, pos, (_, groups, _) in terms:
+        for t, pos, (_, groups, _, _) in terms:
             products[stage] += sum(len(groups.get(idx[pos], ())) for idx in t.comps)
         return original(*terms)
 
