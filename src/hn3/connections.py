@@ -34,7 +34,7 @@ from .nijenhuis import (
     nijenhuis_tensor,
 )
 from .rational import HALF, MINUS_HALF
-from .reporting import Report
+from .reporting import Report, Violation
 from .structures import HN3Manifold, derived
 from .tensor import (
     Tensor,
@@ -192,8 +192,10 @@ def _connection_with_torsion(h: HN3Manifold, t: Tensor) -> NaturalConnection:
     gamma = h.mla.levi_civita.gamma + raise_last(t, h.mla.metric_inverse) * HALF
     conn = Connection(gamma)
     recomputed = lower(connection_torsion(conn, h.mla.algebra), h.metric)
-    if recomputed != t:
-        raise ValidationError("torsion round-trip failed; inconsistent metric data")
+    if recomputed != t:  # they differ by g(tau(x, y), z), tau the Levi-Civita torsion
+        idx = min(recomputed.differs_at(t))
+        v = Violation("recomputed = T", tuple(i + 1 for i in idx), recomputed[idx], t[idx])
+        raise ValidationError(f"torsion round-trip failed; bracket not antisymmetric: {v.render()}")
     return NaturalConnection(conn, t)
 
 

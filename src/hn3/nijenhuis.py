@@ -3,11 +3,13 @@
 For each structure the module computes the fundamental (0,3) tensor, the
 Nijenhuis tensor built from Lie brackets, its associated sibling built
 from the symmetric braces, and the four associated components that govern
-the product extension.  Both Nijenhuis tensors come from one pairing on
-the Levi-Civita derivative of phi (``_phi_pairing``).  Alongside the
-definitional routes it carries the closed-form expansions in terms of the
-fundamental tensor; the two kinds of route are algebraically equal, which
-the test suite exploits as a cross-check of every contraction in sight.
+the product extension.  Each Nijenhuis-type tensor is one pairing
+``P(a, b)(x, y) = (D_{a x} b) y - a((D_x b) y)`` (``_pairing``) taken on
+the Levi-Civita coefficients, the torsion tau of a bracket that is not
+antisymmetric, or the extension's braces.  Alongside the definitional
+routes it carries the closed-form expansions in terms of the fundamental
+tensor; the two kinds of route are algebraically equal, which the test
+suite exploits as a cross-check of every contraction in sight.
 
 Slot conventions are those of ``hn3.tensor``; the structure index
 ``alpha`` is 1-based everywhere.  Functions marked ``@derived`` run once
@@ -19,6 +21,7 @@ from __future__ import annotations
 from .errors import ShapeError
 from .linalg import Matrix, contract
 from .liealg import (
+    Connection,
     connection_torsion,
     covariant_derivative,
     covariant_derivative_vector,
@@ -43,11 +46,23 @@ from .tensor import (
 )
 
 
+def _derivative(gamma: Tensor, b: Matrix) -> Tensor:
+    """``(D_x b) y`` for the connection with coefficients gamma, direction slot first."""
+    return covariant_derivative(Connection(gamma), tensor_from_operator(b))
+
+
+def _pairing(d_b: Tensor, a: Matrix) -> Tensor:
+    """``P(a, b)(x, y) = (D_{a x} b) y - a((D_x b) y)`` from ``d_b = D b``.
+
+    For coefficients G, ``P(a, a) = G(a., a.) + a^2 G - a (G(a., .) + G(., a.))``.
+    """
+    return precompose(d_b, a, 0) - postcompose(d_b, a)
+
+
 @derived
 def _phi_derivative(h: HN3Manifold, alpha: int) -> Tensor:
     """``(D_x phi) y`` for the Levi-Civita D, direction slot first."""
-    phi = tensor_from_operator(h.phi(alpha))
-    return covariant_derivative(h.mla.levi_civita, phi)
+    return _derivative(h.mla.levi_civita.gamma, h.phi(alpha))
 
 
 @derived
@@ -115,33 +130,17 @@ def exterior_d_eta(h: HN3Manifold, alpha: int) -> Tensor:
     return de - permute_args(de, (1, 0))
 
 
-def _second_order_bracket(base: Tensor, a: Matrix, b: Matrix | None = None) -> Tensor:
-    # the pairing S(a, b) built on any (1,2) tensor: base(a., b.)
-    # + ab base(., .) - a (base(b., .) + base(., b.)); S(a, a) when b is
-    # omitted, else (S(a, b) + S(b, a)) / 2, each precomposition built once
-    pa = precompose(base, a, 0)
-    sa = pa + precompose(base, a, 1)
-    if b is None:
-        return precompose(pa, a, 1) + postcompose(base, a @ a) - postcompose(sa, a)
-    pb = precompose(base, b, 0)
-    sb = pb + precompose(base, b, 1)
-    out = precompose(pa, b, 1) + precompose(pb, a, 1) + postcompose(base, a @ b + b @ a)
-    return (out - postcompose(sb, a) - postcompose(sa, b)) * HALF
-
-
 @derived
 def _phi_pairing(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
-    """``A(x, y) = (D_{phi x} phi) y - phi((D_x phi) y)``, D Levi-Civita, and its (0,3) form.
+    """``A = P(phi, phi)`` on the Levi-Civita ``D phi``, and its (0,3) form.
 
-    With ``(D_x phi) y = G(x, phi y) - phi G(x, y)`` for the coefficients
-    G, A is ``_second_order_bracket(G, phi)``.  That pairing is linear in
-    its base and swaps its arguments with the base's, so on the braces
-    ``G + G^T`` it is ``A + A^T``, and on the brackets ``G - G^T - tau``
-    it is ``A - A^T`` less the pairing on tau: both Nijenhuis tensors
-    come from A.
+    ``A(x, y) = (D_{phi x} phi) y - phi((D_x phi) y)``.  The pairing is
+    linear in the coefficients G of D and swaps its arguments with G's, so
+    on the braces ``G + G^T`` it is ``A + A^T``, and on the brackets
+    ``G - G^T - tau`` it is ``A - A^T`` less the pairing on tau: both
+    Nijenhuis tensors come from A.
     """
-    dphi, phi = _phi_derivative(h, alpha), h.phi(alpha)
-    pairing = precompose(dphi, phi, 0) - postcompose(dphi, phi)
+    pairing = _pairing(_phi_derivative(h, alpha), h.phi(alpha))
     return pairing, lower(pairing, h.metric)
 
 
@@ -166,7 +165,7 @@ def nijenhuis_tensor(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
     form = low - swap_args(low, 0, 1) + tensor_product(deta, _lowered_xi(h, alpha))
     tau = _levi_civita_torsion(h)
     if not tau.is_zero():  # a bracket that is not antisymmetric
-        rest = _second_order_bracket(tau, h.phi(alpha))
+        rest = _pairing(_derivative(tau, h.phi(alpha)), h.phi(alpha))
         vec, form = vec - rest, form - lower(rest, h.metric)
     return vec, form
 
@@ -291,10 +290,9 @@ def metric_lie_derivative_via_associated2(h: HN3Manifold, assoc_form: Tensor) ->
 # Product extension.
 
 def braces_nijenhuis_product(p: ProductExtension, alpha: int, beta: int) -> Tensor:
-    """Braces-built Nijenhuis pairing ``{J_alpha, J_beta}`` on the extension.
-
-    The symmetrized pairing ``(S(Ja, Jb) + S(Jb, Ja)) / 2`` of the braces,
-    so that ``alpha == beta`` gives the plain diagonal ``S(Ja, Ja)``.
-    """
+    """``{J_alpha, J_beta}`` is ``P(Ja, Jb)`` on the braces, symmetrized when alpha != beta."""
     ja, jb = p.j(alpha), p.j(beta)
-    return _second_order_bracket(p.mla.braces, ja, None if alpha == beta else jb)
+    d_a = _derivative(p.mla.braces, ja)
+    if alpha == beta:
+        return _pairing(d_a, ja)
+    return (_pairing(_derivative(p.mla.braces, jb), ja) + _pairing(d_a, jb)) * HALF

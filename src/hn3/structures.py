@@ -243,10 +243,9 @@ class ProductExtension:
         return self.mla.metric_signature
 
 
-def build_product(h: HN3Manifold, validate: bool = True) -> ProductExtension:
-    """Extend by the flat direction; refuses an invalid base unless told not to."""
-    if validate:
-        require_valid(h)
+def build_product(h: HN3Manifold) -> ProductExtension:
+    """Extend by the flat direction; refuses an invalid base."""
+    require_valid(h)
     n = h.dim
     ext_g = Matrix.from_dict((n + 1, n + 1), {**dict(h.metric.nonzero()), (n, n): -ONE})
     ext_bracket = Tensor.from_dict(1, 2, n + 1, dict(h.mla.algebra.bracket.nonzero()))

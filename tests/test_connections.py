@@ -37,7 +37,10 @@ from hn3 import (
     torsion_alpha1_via_forms,
     validation_reports,
 )
-from hn3.errors import ExistenceError, SymmetryError
+from hn3.builtin import DIM, standard_metric, standard_structures
+from hn3.errors import ExistenceError, SymmetryError, ValidationError
+from hn3.liealg import LieAlgebra, MetricLieAlgebra
+from hn3.structures import HN3Manifold
 from hn3.tensor import Tensor, is_three_form, lower
 from oracle import bracket_vectors, value_at
 from test_frame_covariance import elementary_product, is_signed_permutation, move
@@ -261,6 +264,19 @@ class TestNaturalConnections:
                 builtin2.metric,
             )
             assert recomputed == d.torsion
+
+    def test_round_trip_names_a_bracket_that_is_not_antisymmetric(self, builtin2):
+        # [e3, e4] = 2e7 without its partner: the recomputed torsion is T
+        # plus the lowered Levi-Civita torsion, which is then not zero
+        brackets = {(1, 2, 7): 2, (2, 1, 7): -2, (3, 4, 7): 2}
+        algebra = LieAlgebra.from_nonzero(DIM, brackets)
+        h = HN3Manifold(MetricLieAlgebra(algebra, standard_metric()), standard_structures())
+        message = (
+            "torsion round-trip failed; bracket not antisymmetric: "
+            "recomputed = T at (3,4,7): lhs = -3, rhs = -2"
+        )
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            natural_connection(h, 1, structure_torsion(builtin2, 1))
 
     def test_levi_civita_is_not_natural(self, builtin2):
         # non-trivial negative control: the torsion-free connection does

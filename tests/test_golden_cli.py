@@ -91,16 +91,20 @@ def case_id(name: str, cmd: tuple[str, ...]) -> str:
     return " ".join((name, *cmd))
 
 
-def invalid_reports_digest(inputs) -> dict:
+def invalid_reports_digest(inputs, monkeypatch) -> dict:
     """Every validator's report on the invalid file, violations in order.
 
     ``hn3 validate`` prints the four base reports; this digest also pins
-    those of the product extension, which ``hn3 product`` refuses to build.
+    those of the product extension, which ``hn3 product`` refuses to build
+    (its gate is switched off here to reach them).
     """
+    import hn3.structures
+
     h = load_structure(inputs[INVALID][0], validate=False)
+    monkeypatch.setattr(hn3.structures, "require_valid", lambda h: None)
     reports = [
         *validation_reports(h),
-        validate_hypercomplex_hn(build_product(h, validate=False)),
+        validate_hypercomplex_hn(build_product(h)),
     ]
     text = json.dumps([r.to_json() for r in reports], indent=2)
     return {
@@ -133,8 +137,8 @@ def test_cli_output_matches_golden(name, cmd, inputs, golden, capsys):
     assert run_case(capsys, inputs, name, cmd) == golden[case_id(name, cmd)]
 
 
-def test_invalid_file_violation_order(inputs, golden):
-    assert invalid_reports_digest(inputs) == golden[f"{INVALID} reports"]
+def test_invalid_file_violation_order(inputs, golden, monkeypatch):
+    assert invalid_reports_digest(inputs, monkeypatch) == golden[f"{INVALID} reports"]
 
 
 def test_golden_table_covers_every_case(golden):

@@ -1,11 +1,13 @@
 """Each shortcut route equals, exactly, the route it replaced.
 
-The library builds both Nijenhuis tensors from one pairing on the
-Levi-Civita derivative of phi, plugs xi into F before phi, shares the
-phi-composed F_1 between the reflection identity and T_1, takes D g from
-lowered connection coefficients, and sums wide contractions per output
-row.  The functions below keep the replaced routes as references: the
-pairing ``_second_order_bracket`` on the brackets and on the braces,
+The library builds every Nijenhuis-type tensor from one pairing on a
+derivative of the operator (the Levi-Civita derivative of phi, or the
+braces' derivative of J on the product extension), plugs xi into F before
+phi, shares the phi-composed F_1 between the reflection identity and T_1,
+takes D g from lowered connection coefficients, and sums wide
+contractions per output row.  The functions below keep the replaced
+routes as references: the second-order pairing ``_second_order_bracket``
+expanded on the brackets, on the braces and on the extension's braces,
 ``covariant_derivative(conn, metric_tensor(g))``, the torsion with xi
 plugged in after phi, and each contraction summed cell by cell in
 Fractions.
@@ -25,6 +27,8 @@ from conftest import SOLVABLE_BRACKETS
 from hn3 import (
     Matrix,
     associated_nijenhuis,
+    braces_nijenhuis_product,
+    build_product,
     builtin_example,
     exterior_d_eta,
     fundamental_tensor,
@@ -42,8 +46,8 @@ from hn3.liealg import (
     connection_torsion,
     covariant_derivative,
 )
-from hn3.nijenhuis import _second_order_bracket, phi_braces
-from hn3.rational import MINUS_HALF, reduced
+from hn3.nijenhuis import phi_braces
+from hn3.rational import HALF, MINUS_HALF, reduced
 from hn3.structures import HN3Manifold
 from hn3.tensor import (
     Tensor,
@@ -52,6 +56,7 @@ from hn3.tensor import (
     lower,
     metric_tensor,
     permute_args,
+    postcompose,
     precompose,
     tensor_product,
     times_vector,
@@ -70,6 +75,22 @@ def bench_generators():
 
 
 GEN = bench_generators()
+
+
+def _second_order_bracket(base: Tensor, a: Matrix, b: Matrix | None = None) -> Tensor:
+    """The pairing ``S(a, b)`` expanded on any (1,2) tensor, as the definitions read.
+
+    ``S(a, b) = base(a., b.) + ab base(., .) - a (base(b., .) + base(., b.))``;
+    ``S(a, a)`` when b is omitted, else ``(S(a, b) + S(b, a)) / 2``.
+    """
+    pa = precompose(base, a, 0)
+    sa = pa + precompose(base, a, 1)
+    if b is None:
+        return precompose(pa, a, 1) + postcompose(base, a @ a) - postcompose(sa, a)
+    pb = precompose(base, b, 0)
+    sb = pb + precompose(base, b, 1)
+    out = precompose(pa, b, 1) + precompose(pb, a, 1) + postcompose(base, a @ b + b @ a)
+    return (out - postcompose(sb, a) - postcompose(sa, b)) * HALF
 
 
 def old_nijenhuis(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
@@ -105,11 +126,20 @@ def assert_routes_agree(h: HN3Manifold) -> None:
         assert associated_nijenhuis(h, a) == old_associated(h, a), a
         assert phi_braces(h, a) == _second_order_bracket(h.mla.braces, h.phi(a)), a
         assert _torsion(h, a) == old_torsion(h, a), a
+    assert_product_pairings_agree(h)
     # Levi-Civita, where D g = 0, and a connection that does not preserve g
     for conn in (h.mla.levi_civita, Connection(h.mla.levi_civita.gamma + h.mla.braces)):
         assert _metric_derivative(conn, h.metric) == covariant_derivative(
             conn, metric_tensor(h.metric)
         )
+
+
+def assert_product_pairings_agree(h: HN3Manifold) -> None:
+    """``{J_a, J_b}`` equals the second-order pairing on the extension's braces, all nine pairs."""
+    p = build_product(h)
+    for a, b in itertools.product((1, 2, 3), repeat=2):
+        expected = _second_order_bracket(p.mla.braces, p.j(a), None if a == b else p.j(b))
+        assert braces_nijenhuis_product(p, a, b) == expected, (a, b)
 
 
 def test_every_fixture(bracket_fixtures):
@@ -125,6 +155,10 @@ def test_the_ladder(m):
 def test_a_benchmark_frame():
     # the n = 7 frame, seed 3: the row loop runs on most of its contractions
     assert_routes_agree(parse_structure(GEN.frame_change(GEN.ladder(1), 3, 1)))
+
+
+def test_an_n11_benchmark_frame():
+    assert_routes_agree(parse_structure(GEN.frame_change(GEN.ladder(2), 3, 1)))
 
 
 @given(st.lists(steps, min_size=2, max_size=4))

@@ -94,7 +94,7 @@ LADDER_7 = {
     "connection2": (9, 136),
     "connection3": (7, 24),
     "coincidence": (0, 0),
-    "product": (28, 232),
+    "product": (23, 200),
 }
 LADDER_11 = {
     "validate": (37, 159),
@@ -103,7 +103,7 @@ LADDER_11 = {
     "connection2": (9, 272),
     "connection3": (7, 48),
     "coincidence": (0, 0),
-    "product": (28, 396),
+    "product": (23, 340),
 }
 FRAME_7 = {
     "validate": (37, 2_719),
@@ -112,7 +112,7 @@ FRAME_7 = {
     "connection2": (9, 6_563),
     "connection3": (7, 1_610),
     "coincidence": (0, 0),
-    "product": (28, 11_742),
+    "product": (23, 10_063),
 }
 
 
