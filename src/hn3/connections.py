@@ -35,7 +35,7 @@ from .nijenhuis import (
 )
 from .rational import HALF, MINUS_HALF
 from .reporting import Report, Violation
-from .structures import HN3Manifold, derived
+from .structures import HN3Manifold, derived, require_valid
 from .tensor import (
     Tensor,
     contract_arg_with_vector,
@@ -192,22 +192,22 @@ def _connection_with_torsion(h: HN3Manifold, t: Tensor) -> NaturalConnection:
     gamma = h.mla.levi_civita.gamma + raise_last(t, h.mla.metric_inverse) * HALF
     conn = Connection(gamma)
     recomputed = lower(connection_torsion(conn, h.mla.algebra), h.metric)
-    if recomputed != t:  # they differ by g(tau(x, y), z), tau the Levi-Civita torsion
+    if recomputed != t:
         idx = min(recomputed.differs_at(t))
         v = Violation("recomputed = T", tuple(i + 1 for i in idx), recomputed[idx], t[idx])
-        raise ValidationError(f"torsion round-trip failed; bracket not antisymmetric: {v.render()}")
+        raise ValidationError(f"torsion round-trip failed: {v.render()}")
     return NaturalConnection(conn, t)
 
 
 def _metric_derivative(conn: Connection, g: Matrix) -> Tensor:
-    """``(D_x g)(y, z) = -g(D_x y, z) - g(y, D_x z)``: two lowerings of D, one if g is symmetric."""
+    """``(D_x g)(y, z) = -g(D_x y, z) - g(y, D_x z)`` for a symmetric g: one lowering of D."""
     low = lower(conn.gamma, g)  # g(D_x y, z)
-    swapped = low if g.is_symmetric() else lower(conn.gamma, g.transpose())  # g(z, D_x y)
-    return -(low + permute_args(swapped, (0, 2, 1)))
+    return -(low + permute_args(low, (0, 2, 1)))
 
 
 def naturality_report(conn: Connection, h: HN3Manifold, alpha: int) -> Report:
-    """Does the connection annihilate phi, xi, eta and g of one structure?"""
+    """Does the connection annihilate phi, xi, eta and g of one structure?  Refuses an invalid h."""
+    require_valid(h)
     report = Report(f"naturality for structure {alpha}")
     dphi = covariant_derivative(conn, tensor_from_operator(h.phi(alpha)))
     dxi = covariant_derivative_vector(conn, h.xi(alpha))
@@ -259,8 +259,9 @@ def coincidence_check(h: HN3Manifold) -> Coincidence:
     route two compares the coefficient tensors of the built connections.
     The two verdicts agree identically since the metric is fixed; both are
     exposed, and both reuse the torsions and connections of the manifold.
-    The class conditions gate it: by the paper's theorem they hold exactly
-    when the associated Nijenhuis tensors vanish.
+    The class conditions gate it.  They hold exactly when the associated
+    Nijenhuis tensor N̂_a vanishes for a = 2, 3, and for a = 1 exactly when
+    N̂_1 vanishes and xi_1 is Killing; N̂_1 = 0 alone does not suffice.
     """
     missing = [a for a in (1, 2, 3) if not in_skew_torsion_class(h, a)]
     if missing:

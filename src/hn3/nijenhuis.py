@@ -5,15 +5,15 @@ Nijenhuis tensor built from Lie brackets, its associated sibling built
 from the symmetric braces, and the four associated components that govern
 the product extension.  Each Nijenhuis-type tensor is one pairing
 ``P(a, b)(x, y) = (D_{a x} b) y - a((D_x b) y)`` (``_pairing``) taken on
-the Levi-Civita coefficients, the torsion tau of a bracket that is not
-antisymmetric, or the extension's braces.  Alongside the definitional
-routes it carries the closed-form expansions in terms of the fundamental
-tensor; the two kinds of route are algebraically equal, which the test
-suite exploits as a cross-check of every contraction in sight.
+the Levi-Civita coefficients or on the extension's braces.  Alongside the
+definitional routes it carries the closed-form expansions in terms of the
+fundamental tensor; the two kinds of route are algebraically equal, which
+the test suite exploits as a cross-check of every contraction in sight.
 
 Slot conventions are those of ``hn3.tensor``; the structure index
 ``alpha`` is 1-based everywhere.  Functions marked ``@derived`` run once
-per manifold and structure.
+per manifold and structure, and only on a valid manifold, whose bracket
+is antisymmetric: ``D_x y - D_y x = [x, y]`` for the Levi-Civita D.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import ShapeError
 from .linalg import Matrix, contract
 from .liealg import (
     Connection,
-    connection_torsion,
     covariant_derivative,
     covariant_derivative_vector,
     lie_derivative_covector,
@@ -137,8 +136,7 @@ def _phi_pairing(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
     ``A(x, y) = (D_{phi x} phi) y - phi((D_x phi) y)``.  The pairing is
     linear in the coefficients G of D and swaps its arguments with G's, so
     on the braces ``G + G^T`` it is ``A + A^T``, and on the brackets
-    ``G - G^T - tau`` it is ``A - A^T`` less the pairing on tau: both
-    Nijenhuis tensors come from A.
+    ``G - G^T`` it is ``A - A^T``: both Nijenhuis tensors come from A.
     """
     pairing = _pairing(_phi_derivative(h, alpha), h.phi(alpha))
     return pairing, lower(pairing, h.metric)
@@ -151,22 +149,12 @@ def _lowered_xi(h: HN3Manifold, alpha: int) -> Tensor:
 
 
 @derived
-def _levi_civita_torsion(h: HN3Manifold) -> Tensor:
-    """``tau = D_x y - D_y x - [x, y]`` for the Levi-Civita D, zero for an antisymmetric bracket."""
-    return connection_torsion(h.mla.levi_civita, h.mla.algebra)
-
-
-@derived
 def nijenhuis_tensor(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
     """Nijenhuis tensor ``[phi, phi] + xi (x) d eta`` as a (1,2) and its (0,3) form."""
     pairing, low = _phi_pairing(h, alpha)
     deta = exterior_d_eta(h, alpha)
     vec = pairing - swap_args(pairing, 0, 1) + times_vector(deta, h.xi(alpha))
     form = low - swap_args(low, 0, 1) + tensor_product(deta, _lowered_xi(h, alpha))
-    tau = _levi_civita_torsion(h)
-    if not tau.is_zero():  # a bracket that is not antisymmetric
-        rest = _pairing(_derivative(tau, h.phi(alpha)), h.phi(alpha))
-        vec, form = vec - rest, form - lower(rest, h.metric)
     return vec, form
 
 

@@ -10,8 +10,9 @@ almost hypercomplex frame with the matching Hermitian-Norden metric.
 
 Validation lives here and runs once per manifold: ``validation_reports``
 keeps the four validators' reports in the manifold's memo, and
-``require_valid`` is the one gate that refuses an invalid manifold, both
-when a file is loaded and when the product extension is built.
+``require_valid`` is the one gate that refuses an invalid manifold: when
+a file is loaded, when the product extension is built, and before every
+``derived`` build.
 """
 
 from __future__ import annotations
@@ -113,8 +114,10 @@ def derived(build: Callable) -> Callable:
     The result lives in the manifold's memo, freed with it, under ``(build,
     *args)``.  Structure numbers and arrays compare and hash by value, so
     equal arguments share one entry; a call that raises keeps nothing.  A
-    build reads a structure number through ``HN3Manifold.structure``, which
-    refuses numbers outside 1, 2, 3.  A hit is one lookup.
+    miss first passes ``require_valid``, so nothing is built on an invalid
+    manifold.  A build reads a structure number through
+    ``HN3Manifold.structure``, which refuses numbers outside 1, 2, 3.  A hit
+    is one lookup.
     """
 
     @wraps(build)
@@ -122,6 +125,7 @@ def derived(build: Callable) -> Callable:
         key = (build, *args)
         value = h._memo.get(key, key)  # no build returns its own key, so it marks a miss
         if value is key:
+            require_valid(h)
             value = h._memo[key] = build(h, *args)
         return value
 
@@ -195,15 +199,18 @@ def validate_hn_metric(h: HN3Manifold) -> Report:
     return report
 
 
-@derived
 def validation_reports(h: HN3Manifold) -> tuple[Report, ...]:
-    """The four validators every structure must pass, in checking order."""
-    return (
-        validate_lie_algebra(h.mla.algebra),
-        validate_metric(h.mla),
-        validate_ac3(h),
-        validate_hn_metric(h),
-    )
+    """The four validators' reports in checking order; memoized, but not gated like ``derived``."""
+    key = (validation_reports,)
+    reports = h._memo.get(key)
+    if reports is None:
+        reports = h._memo[key] = (
+            validate_lie_algebra(h.mla.algebra),
+            validate_metric(h.mla),
+            validate_ac3(h),
+            validate_hn_metric(h),
+        )
+    return reports
 
 
 def require_valid(h: HN3Manifold) -> None:

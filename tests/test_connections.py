@@ -31,16 +31,14 @@ from hn3 import (
     connection_torsion,
     fundamental_tensor,
     in_skew_torsion_class,
+    metric_lie_derivative,
     natural_connection,
     naturality_report,
     structure_torsion,
     torsion_alpha1_via_forms,
     validation_reports,
 )
-from hn3.builtin import DIM, standard_metric, standard_structures
-from hn3.errors import ExistenceError, SymmetryError, ValidationError
-from hn3.liealg import LieAlgebra, MetricLieAlgebra
-from hn3.structures import HN3Manifold
+from hn3.errors import ExistenceError, SymmetryError
 from hn3.tensor import Tensor, is_three_form, lower
 from oracle import bracket_vectors, value_at
 from test_frame_covariance import elementary_product, is_signed_permutation, move
@@ -57,6 +55,9 @@ SEPARATING_DRAWS = {
 
 # xi_2 = e6 acts on e1, e2 without being Killing, yet F_2 has no cyclic sum
 CYCLIC_FREE_DRAW = {(6, 1, 4): 1, (1, 6, 4): -1, (6, 2, 3): 1, (2, 6, 3): -1}
+# [e3,e5] = -e2, [e4,e5] = e1: 2-step nilpotent with N̂_1 = 0, yet xi_1 = e5
+# is not Killing, so the first structure is outside its class
+UNKILLING_DRAW = {(3, 5, 2): -1, (5, 3, 2): 1, (4, 5, 1): 1, (5, 4, 1): -1}
 
 # two fixed frame changes, products of elementary matrices I + q E_ij (0-based)
 FRAMES = (
@@ -114,8 +115,10 @@ class TestClassConditions:
 def test_class_condition_holds_exactly_when_the_associated_nijenhuis_tensor_vanishes(
     bracket_fixtures, lam_family
 ):
-    # the paper's existence theorem, on which coincidence_check relies when
-    # it gates on the class conditions alone
+    # the existence theorem, on which coincidence_check relies when it gates
+    # on the class conditions alone: class a <=> N̂_a = 0 for a = 2, 3, and
+    # class 1 <=> (N̂_1 = 0 and xi_1 Killing); N̂_1 = 0 alone does not
+    # suffice, as the last input of the corpus shows
     corpus = {**bracket_fixtures, **{f"lambda = {lam}": h for lam, h in lam_family.items()}}
     for name, (brackets, verdicts) in SEPARATING_DRAWS.items():
         corpus[name] = h = manifold_from_brackets(brackets)
@@ -126,11 +129,17 @@ def test_class_condition_holds_exactly_when_the_associated_nijenhuis_tensor_vani
         corpus[f"example in frame {k}"] = move(lam_family[2], p)
     corpus["[e3,e4] = 2e6 in frame 1"] = move(corpus["[e3,e4] = 2e6"], p)
     corpus["[e6,e1] = e4, [e6,e2] = e3"] = manifold_from_brackets(CYCLIC_FREE_DRAW)
+    corpus["[e3,e5] = -e2, [e4,e5] = e1"] = unkilling = manifold_from_brackets(UNKILLING_DRAW)
+    assert associated_nijenhuis(unkilling, 1)[0].is_zero()
+    assert not metric_lie_derivative(unkilling, 1).is_zero()
+    assert not in_skew_torsion_class(unkilling, 1)
     for name, h in corpus.items():
         assert all(r.passed for r in validation_reports(h)), name
         for a in (1, 2, 3):
-            vanishes = associated_nijenhuis(h, a)[0].is_zero()
-            assert in_skew_torsion_class(h, a) == vanishes, (name, a)
+            theorem_side = associated_nijenhuis(h, a)[0].is_zero()
+            if a == 1:
+                theorem_side = theorem_side and metric_lie_derivative(h, 1).is_zero()
+            assert in_skew_torsion_class(h, a) == theorem_side, (name, a)
 
 
 WITNESS_INPUTS = {
@@ -264,19 +273,6 @@ class TestNaturalConnections:
                 builtin2.metric,
             )
             assert recomputed == d.torsion
-
-    def test_round_trip_names_a_bracket_that_is_not_antisymmetric(self, builtin2):
-        # [e3, e4] = 2e7 without its partner: the recomputed torsion is T
-        # plus the lowered Levi-Civita torsion, which is then not zero
-        brackets = {(1, 2, 7): 2, (2, 1, 7): -2, (3, 4, 7): 2}
-        algebra = LieAlgebra.from_nonzero(DIM, brackets)
-        h = HN3Manifold(MetricLieAlgebra(algebra, standard_metric()), standard_structures())
-        message = (
-            "torsion round-trip failed; bracket not antisymmetric: "
-            "recomputed = T at (3,4,7): lhs = -3, rhs = -2"
-        )
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            natural_connection(h, 1, structure_torsion(builtin2, 1))
 
     def test_levi_civita_is_not_natural(self, builtin2):
         # non-trivial negative control: the torsion-free connection does

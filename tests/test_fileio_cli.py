@@ -17,7 +17,7 @@ from hn3 import (
     parse_structure,
     structure_to_json,
 )
-from hn3.cli import main, run
+from hn3.cli import _TENSORS, main, run
 from hn3.tensor import Tensor
 
 JACOBI_BAD = {
@@ -28,6 +28,15 @@ JACOBI_BAD = {
     (3, 1, 3): 1,
     (1, 3, 3): -1,
 }
+
+# every subcommand that reads a structure file, except validate
+REFUSING_COMMANDS = [
+    ["classify"],
+    ["connection"],
+    ["product"],
+    ["product", "--alpha", "1", "--beta", "2"],
+    *(["compute", "--tensor", name] for name in _TENSORS),
+]
 
 
 def same_manifold(a, b) -> bool:
@@ -286,6 +295,25 @@ class TestCLI:
             reports = json.loads(capsys.readouterr().out)
             assert [r["status"] for r in reports] == ["fail", "pass", "pass", "pass"]
             assert {v["identity"] for v in reports[0]["violations"]} == {identity}
+
+    @pytest.mark.parametrize("argv", REFUSING_COMMANDS, ids=" ".join)
+    def test_every_command_but_validate_refuses_an_invalid_file(
+        self, builtin2, tmp_path, capsys, argv
+    ):
+        # [e1,e2] = 2e7 without its partner; compute --tensor LC reads the
+        # Levi-Civita connection of the algebra, no derived object, so the
+        # load gate alone refuses it there
+        data = structure_to_json(builtin2)
+        data["brackets"] = [{"i": 1, "j": 2, "k": 7, "value": "2"}]
+        p = tmp_path / "one_sided.json"
+        p.write_text(json.dumps(data))
+        assert run([*argv, str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "check failed: lie algebra axioms: antisymmetry at (1,2,7): "
+            "lhs = 2, rhs = 0 (1 violations in total)\n"
+        )
 
     def test_failed_existence_exits_1(self, tmp_path, capsys):
         p = tmp_path / "solvable.json"

@@ -137,7 +137,6 @@ def test_pipeline_computes_each_object_once(calls):
     ):
         assert per_alpha(stored[built]) == ONCE_EACH, built
     assert stored["_connection_with_torsion"] == Counter((t,) for t in set(torsions))
-    assert stored["_levi_civita_torsion"] == Counter({(): 1})
 
 
 def test_each_class_condition_is_evaluated_once(monkeypatch):
@@ -214,8 +213,9 @@ def test_classify_command_sums_each_fundamental_tensor_once(monkeypatch, capsys)
         if hasattr(module, "cyclic_sum"):
             count_calls(monkeypatch, sums, module, "cyclic_sum")
     assert run(["classify", "--example", "--json"]) == 0
-    # F_2 and F_3, each summed once for both its finding and its class verdict
-    assert sums["cyclic_sum"] == 2
+    # F_2 and F_3, each summed once for both its finding and its class verdict,
+    # and the Jacobi sum of the validator that the memo's gate runs on --example
+    assert sums["cyclic_sum"] == 3
 
 
 def test_each_validator_runs_once_per_manifold(monkeypatch, tmp_path):

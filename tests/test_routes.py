@@ -10,22 +10,28 @@ routes as references: the second-order pairing ``_second_order_bracket``
 expanded on the brackets, on the braces and on the extension's braces,
 ``covariant_derivative(conn, metric_tensor(g))``, the torsion with xi
 plugged in after phi, and each contraction summed cell by cell in
-Fractions.
+Fractions.  The routes assume a valid manifold, and two tests check that
+an invalid one is refused before any route runs.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import itertools
+import re
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import hn3
 from conftest import SOLVABLE_BRACKETS
 from hn3 import (
     Matrix,
+    ValidationError,
     associated_nijenhuis,
     braces_nijenhuis_product,
     build_product,
@@ -33,8 +39,10 @@ from hn3 import (
     exterior_d_eta,
     fundamental_tensor,
     metric_lie_derivative,
+    naturality_report,
     nijenhuis_tensor,
     parse_structure,
+    validation_reports,
 )
 from hn3.builtin import DIM, standard_metric, standard_structures
 from hn3.connections import _metric_derivative, _torsion
@@ -43,7 +51,6 @@ from hn3.liealg import (
     Connection,
     LieAlgebra,
     MetricLieAlgebra,
-    connection_torsion,
     covariant_derivative,
 )
 from hn3.nijenhuis import phi_braces
@@ -169,26 +176,49 @@ def test_changed_frames(factors):
     assert_routes_agree(move(builtin_example(2), p))
 
 
+def derived_builds() -> list:
+    """Every ``@derived`` function of the package."""
+    modules = [v for v in vars(hn3).values() if isinstance(v, types.ModuleType)]
+    return sorted(
+        (
+            v for m in modules for v in vars(m).values()
+            if hasattr(v, "__wrapped__") and v.__module__ == m.__name__
+        ),
+        key=lambda v: (v.__module__, v.__name__),
+    )
+
+
 def test_a_bracket_missing_its_antisymmetric_partner():
-    # [e5, e1] = e1 without [e1, e5] = -e1: the Levi-Civita torsion is not
-    # zero, so the brackets are not D_x y - D_y x and the pairing on that
-    # torsion is subtracted from the Nijenhuis tensor
+    # [e5, e1] = e1 without [e1, e5] = -e1: every derived build refuses the
+    # manifold before it builds, so no route ever sees a Levi-Civita
+    # connection whose torsion is not zero, and nothing is kept but the reports
     brackets = dict(SOLVABLE_BRACKETS)
     del brackets[1, 5, 1]
     algebra = LieAlgebra.from_nonzero(DIM, brackets)
     h = HN3Manifold(MetricLieAlgebra(algebra, standard_metric()), standard_structures())
-    assert not connection_torsion(h.mla.levi_civita, algebra).is_zero()
-    for a in (1, 2, 3):
-        assert nijenhuis_tensor(h, a) == old_nijenhuis(h, a)
-        assert associated_nijenhuis(h, a) == old_associated(h, a)
+    message = (
+        "lie algebra axioms: antisymmetry at (1,5,1): lhs = 0, rhs = -1 (1 violations in total)"
+    )
+    builds = derived_builds()
+    assert {nijenhuis_tensor, associated_nijenhuis, _torsion, fundamental_tensor} <= set(builds)
+    for build in builds:
+        # the gate runs before the build reads its arguments
+        arity = len(inspect.signature(build.__wrapped__).parameters) - 1
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build(h, *[1] * arity)
+    assert list(h._memo) == [(validation_reports,)]
 
 
 def test_a_metric_that_is_not_symmetric():
+    # D g takes one lowering of D's coefficients, right for a symmetric g
+    # only; naturality_report refuses any other metric before it lowers
     h = builtin_example(2)
     g = h.metric + Matrix.outer(h.xi(1), h.xi(2)) * Fraction(3, 2)
     assert not g.is_symmetric()
-    conn = Connection(h.mla.levi_civita.gamma + h.mla.braces)
-    assert _metric_derivative(conn, g) == covariant_derivative(conn, metric_tensor(g))
+    bad = HN3Manifold(MetricLieAlgebra(h.mla.algebra, g), h.structures)
+    message = "metric: symmetry at (5,6): lhs = 3/2, rhs = 0 (1 violations in total)"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        naturality_report(h.mla.levi_civita, bad, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -127,3 +127,12 @@ FRAME_7 = {
 )
 def test_contraction_work_per_stage(monkeypatch, data, table):
     assert work_per_stage(monkeypatch, data) == table
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8], ids=lambda m: f"n={4 * m + 3}")
+def test_ladder_work_is_affine_in_the_rung(monkeypatch, m):
+    # the same contract calls on every rung and 648 more products per rung:
+    # a stage that turns superlinear on the ladder fails here
+    work = work_per_stage(monkeypatch, GEN.ladder(m)).values()
+    assert sum(calls for calls, _ in work) == 118
+    assert sum(products for _, products in work) == 753 + 648 * (m - 1)
