@@ -3,13 +3,15 @@
 Exit codes: 0 when every requested check passed (negative findings such
 as non-coinciding connections still count as answered questions), 1 when
 a mathematical check failed or a construction's precondition does not
-hold, 2 for unusable input (bad file, bad flags).
+hold, 2 for unusable input (bad file, bad flags), 141 (128 + SIGPIPE) when
+the reader of stdout closed it early (``hn3 ... | head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -273,4 +275,12 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early: stdout to devnull, so the exit-time flush cannot raise
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as if the signal had killed the process
+    sys.exit(code)

@@ -142,7 +142,7 @@ def load_structure(path: str | Path, validate: bool = True) -> HN3Manifold:
     """Parse a structure file; with ``validate`` re-derive all its invariants."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON or UTF-8, or an int past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge int, deep nesting
         raise StructureFileError(f"invalid JSON: {exc}", "/") from exc
     h = parse_structure(data)
     if validate:

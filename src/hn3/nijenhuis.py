@@ -19,7 +19,7 @@ is antisymmetric: ``D_x y - D_y x = [x, y]`` for the Levi-Civita D.
 from __future__ import annotations
 
 from .errors import ShapeError
-from .linalg import Matrix, contract
+from .linalg import Matrix
 from .liealg import (
     Connection,
     covariant_derivative,
@@ -130,48 +130,37 @@ def exterior_d_eta(h: HN3Manifold, alpha: int) -> Tensor:
 
 
 @derived
-def _phi_pairing(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
-    """``A = P(phi, phi)`` on the Levi-Civita ``D phi``, and its (0,3) form.
+def _phi_pairing(h: HN3Manifold, alpha: int) -> Tensor:
+    """``A = P(phi, phi)`` on the Levi-Civita ``D phi``.
 
     ``A(x, y) = (D_{phi x} phi) y - phi((D_x phi) y)``.  The pairing is
     linear in the coefficients G of D and swaps its arguments with G's, so
     on the braces ``G + G^T`` it is ``A + A^T``, and on the brackets
     ``G - G^T`` it is ``A - A^T``: both Nijenhuis tensors come from A.
     """
-    pairing = _pairing(_phi_derivative(h, alpha), h.phi(alpha))
-    return pairing, lower(pairing, h.metric)
-
-
-def _lowered_xi(h: HN3Manifold, alpha: int) -> Tensor:
-    """``g(xi, .)``: ``lower(times_vector(t, xi), g)`` is ``tensor_product(t, g(xi, .))``."""
-    # g(xi, e_z) = sum_m xi[m] g[m, z]
-    return Tensor.from_ints(0, 1, h.dim, *contract((h.metric, 0, h.xi(alpha).lines(0))))
+    return _pairing(_phi_derivative(h, alpha), h.phi(alpha))
 
 
 @derived
 def nijenhuis_tensor(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
     """Nijenhuis tensor ``[phi, phi] + xi (x) d eta`` as a (1,2) and its (0,3) form."""
-    pairing, low = _phi_pairing(h, alpha)
-    deta = exterior_d_eta(h, alpha)
+    pairing, deta = _phi_pairing(h, alpha), exterior_d_eta(h, alpha)
     vec = pairing - swap_args(pairing, 0, 1) + times_vector(deta, h.xi(alpha))
-    form = low - swap_args(low, 0, 1) + tensor_product(deta, _lowered_xi(h, alpha))
-    return vec, form
+    return vec, lower(vec, h.metric)
 
 
 def phi_braces(h: HN3Manifold, alpha: int) -> Tensor:
     """Symmetric analogue of ``[phi, phi]`` built on the braces pairing: ``A + A^T``."""
-    pairing = _phi_pairing(h, alpha)[0]
+    pairing = _phi_pairing(h, alpha)
     return pairing + swap_args(pairing, 0, 1)
 
 
 @derived
 def associated_nijenhuis(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor]:
     """Associated Nijenhuis tensor ``{phi, phi} - eps xi (x) L_xi g`` and its (0,3) form."""
-    low = _phi_pairing(h, alpha)[1]
     lg, eps = metric_lie_derivative(h, alpha), h.eps(alpha)
     vec = phi_braces(h, alpha) - times_vector(lg, h.xi(alpha)) * eps
-    form = low + swap_args(low, 0, 1) - tensor_product(lg, _lowered_xi(h, alpha)) * eps
-    return vec, form
+    return vec, lower(vec, h.metric)
 
 
 def hat_components(h: HN3Manifold, alpha: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:

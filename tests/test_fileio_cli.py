@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import SOLVABLE_BRACKETS, manifold_from_brackets
+import hn3
 from hn3 import (
     StructureFileError,
     ValidationError,
@@ -236,6 +240,31 @@ class TestCLI:
             main()
         assert e.value.code == code
 
+    def test_main_exits_141_when_the_reader_closed_stdout(self, monkeypatch, capsys):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            monkeypatch.setattr(sys, "argv", ["hn3", "connection", "--example"])
+            with pytest.raises(SystemExit) as e:
+                main()
+            print("more", flush=True)  # the descriptor now writes to devnull
+        assert e.value.code == 141
+        assert capsys.readouterr().err == ""
+
+    def test_a_closed_pipe_ends_the_command_without_a_traceback(self):
+        # the parent closes its read end before the child writes a byte
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from hn3.cli import main; main()",
+             "connection", "--example", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(hn3.__file__).parents[1])},
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (141, b"")
+
     def test_validate_structure_file(self, builtin2, tmp_path, capsys):
         p = tmp_path / "h.json"
         dump_structure(builtin2, p)
@@ -259,15 +288,19 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "content",
-        [b"\xff\xfe{}", b'{"dimension": ' + b"7" * 5000 + b"}"],
-        ids=["not-utf8", "int-past-digit-limit"],
+        [
+            b"\xff\xfe{}",
+            b'{"dimension": ' + b"7" * 5000 + b"}",
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["not-utf8", "int-past-digit-limit", "nested-past-the-stack"],
     )
     def test_undecodable_files_exit_2(self, tmp_path, capsys, content):
         p = tmp_path / "bad.json"
         p.write_bytes(content)
         assert run(["validate", str(p)]) == 2
         err = capsys.readouterr().err
-        assert "structure file error" in err and "Traceback" not in err
+        assert "structure file error: /: invalid JSON: " in err and "Traceback" not in err
 
     def test_exponent_notation_exits_2_at_its_path(self, builtin2, tmp_path, capsys):
         # small exponent only: large ones cost time exponential in their length

@@ -89,7 +89,7 @@ def work_per_stage(monkeypatch, data: dict) -> dict[str, tuple[int, int]]:
 # (contract calls, products) per stage
 LADDER_7 = {
     "validate": (37, 99),
-    "classify": (34, 258),
+    "classify": (31, 252),
     "connection1": (8, 36),
     "connection2": (9, 136),
     "connection3": (7, 24),
@@ -98,7 +98,7 @@ LADDER_7 = {
 }
 LADDER_11 = {
     "validate": (37, 159),
-    "classify": (34, 510),
+    "classify": (31, 504),
     "connection1": (8, 72),
     "connection2": (9, 272),
     "connection3": (7, 48),
@@ -107,7 +107,7 @@ LADDER_11 = {
 }
 FRAME_7 = {
     "validate": (37, 2_719),
-    "classify": (34, 16_610),
+    "classify": (31, 16_504),
     "connection1": (8, 3_297),
     "connection2": (9, 6_563),
     "connection3": (7, 1_610),
@@ -134,5 +134,5 @@ def test_ladder_work_is_affine_in_the_rung(monkeypatch, m):
     # the same contract calls on every rung and 648 more products per rung:
     # a stage that turns superlinear on the ladder fails here
     work = work_per_stage(monkeypatch, GEN.ladder(m)).values()
-    assert sum(calls for calls, _ in work) == 118
-    assert sum(products for _, products in work) == 753 + 648 * (m - 1)
+    assert sum(calls for calls, _ in work) == 115
+    assert sum(products for _, products in work) == 747 + 648 * (m - 1)
