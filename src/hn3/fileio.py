@@ -13,7 +13,11 @@ A structure file is a JSON object with four keys:
 
 Scalars are strings ``"p/q"``, ``"p"`` or decimals such as ``"-1.5"``, or
 plain JSON integers (``hn3.rational.as_scalar`` gives the grammar); floats
-are rejected to keep everything exact, and so is exponent notation.
+are rejected to keep everything exact, and so is exponent notation.  A JSON
+integer, or a string of decimal digits after an optional ``-``, is read
+straight to an int; only other strings go through ``as_scalar``.  Each
+array is built once from the nonzero entries it reads, and an entry's JSON
+pointer is formatted only when the entry is refused.
 ``load_structure`` gates the parsed manifold with ``structures.require_valid``,
 whose validator reports are kept on the manifold, so later gates reuse them;
 schema problems and mathematical invalidity are distinct failure kinds.
@@ -30,16 +34,34 @@ from .linalg import Matrix, Vector
 from .liealg import LieAlgebra, MetricLieAlgebra
 from .rational import as_scalar, format_scalar
 from .structures import EPSILONS, AlmostContactStructure, HN3Manifold, require_valid
-from .tensor import covector
+from .tensor import Tensor
 
 
-def _scalar_at(value, path: str) -> Fraction:
+def _pointer(path: str, idx: tuple) -> str:
+    return "".join([path, *(f"/{i}" for i in idx)])
+
+
+def _scalar_at(value, path: str, idx: tuple = ()) -> int | Fraction:
+    """A JSON int, or a string of decimal digits after an optional ``-``, as an int.
+
+    Anything else takes ``as_scalar``'s grammar.  The JSON pointer is
+    ``path`` followed by ``idx`` and is formatted only for an error.
+    """
+    if type(value) is int:
+        return value
+    if type(value) is str and (
+        value.isdecimal() or (value[:1] == "-" and value[1:].isdecimal())
+    ):
+        try:
+            return int(value)
+        except ValueError:  # past the digit limit: as_scalar words the error
+            pass
     if isinstance(value, float):
-        raise StructureFileError("floats are not exact; write \"p/q\"", path)
+        raise StructureFileError("floats are not exact; write \"p/q\"", _pointer(path, idx))
     try:
         return as_scalar(value)
     except (TypeError, ValueError) as exc:
-        raise StructureFileError(str(exc), path) from exc
+        raise StructureFileError(str(exc), _pointer(path, idx)) from exc
 
 
 def _index_at(value, dim: int, path: str) -> int:
@@ -50,16 +72,25 @@ def _index_at(value, dim: int, path: str) -> int:
     return value
 
 
+def _entries_at(data, dim: int, path: str, head: tuple[int, ...], out: dict) -> dict:
+    """Add the nonzero entries of the list ``data`` to ``out``, keyed ``head + (i,)``."""
+    if not isinstance(data, list) or len(data) != dim:
+        raise StructureFileError(f"expected {dim} entries", _pointer(path, head))
+    for i, v in enumerate(data):
+        key = (*head, i)
+        v = _scalar_at(v, path, key)
+        if v:
+            out[key] = v
+    return out
+
+
 def _matrix_at(data, dim: int, path: str) -> Matrix:
     if not isinstance(data, list) or len(data) != dim:
         raise StructureFileError(f"expected {dim} rows", path)
-    return Matrix([_vector_at(row, dim, f"{path}/{r}") for r, row in enumerate(data)])
-
-
-def _vector_at(data, dim: int, path: str) -> list[Fraction]:
-    if not isinstance(data, list) or len(data) != dim:
-        raise StructureFileError(f"expected {dim} entries", path)
-    return [_scalar_at(v, f"{path}/{i}") for i, v in enumerate(data)]
+    entries: dict = {}
+    for r, row in enumerate(data):
+        _entries_at(row, dim, path, (r,), entries)
+    return Matrix.from_dict((dim, dim), entries)
 
 
 def parse_structure(data: dict) -> HN3Manifold:
@@ -73,7 +104,7 @@ def parse_structure(data: dict) -> HN3Manifold:
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise StructureFileError("dimension must be a positive integer", "/dimension")
 
-    entries: dict[tuple[int, int, int], Fraction] = {}
+    entries: dict[tuple[int, int, int], int | Fraction] = {}  # 0-based keys
     if not isinstance(data["brackets"], list):
         raise StructureFileError("brackets must be a list", "/brackets")
     for pos, entry in enumerate(data["brackets"]):
@@ -84,10 +115,10 @@ def parse_structure(data: dict) -> HN3Manifold:
             i = _index_at(entry["i"], dim, f"{path}/i")
             j = _index_at(entry["j"], dim, f"{path}/j")
             k = _index_at(entry["k"], dim, f"{path}/k")
-            value = _scalar_at(entry["value"], f"{path}/value")
+            value = _scalar_at(entry["value"], path, ("value",))
         except KeyError as exc:
             raise StructureFileError(f"missing key {exc.args[0]!r}", path) from exc
-        key = (i, j, k)
+        key = (i - 1, j - 1, k - 1)
         if i == j and value:
             raise StructureFileError(f"bracket ({i},{i},{k}) is not antisymmetric: "
                                      f"[e_{i}, e_{i}] = 0 requires the value 0", path)
@@ -96,14 +127,14 @@ def parse_structure(data: dict) -> HN3Manifold:
                 f"conflicting duplicate for bracket ({i},{j},{k})", path
             )
         entries[key] = value
-        partner = (j, i, k)
+        partner = (j - 1, i - 1, k - 1)
         if partner in entries and entries[partner] != -value:
             raise StructureFileError(
                 f"brackets ({i},{j},{k}) and ({j},{i},{k}) are not antisymmetric "
                 "partners",
                 path,
             )
-    algebra = LieAlgebra.from_nonzero(dim, entries)
+    algebra = LieAlgebra(dim, Tensor.from_dict(1, 2, dim, entries))
 
     metric = _matrix_at(data["metric"], dim, "/metric")
 
@@ -127,8 +158,8 @@ def parse_structure(data: dict) -> HN3Manifold:
         if type(epsilon) is not int or epsilon not in (1, -1):
             raise StructureFileError("epsilon must be 1 or -1", f"{path}/epsilon")
         phi = _matrix_at(s["phi"], dim, f"{path}/phi")
-        xi = Vector(_vector_at(s["xi"], dim, f"{path}/xi"))
-        eta = covector(_vector_at(s["eta"], dim, f"{path}/eta"))
+        xi = Vector.from_dict((dim,), _entries_at(s["xi"], dim, f"{path}/xi", (), {}))
+        eta = Tensor.from_dict(0, 1, dim, _entries_at(s["eta"], dim, f"{path}/eta", (), {}))
         slots[alpha], epsilons[alpha] = AlmostContactStructure(phi, xi, eta), epsilon
     # the character pattern is fixed; a mismatch is invalid data, not bad syntax
     if (epsilons[1], epsilons[2], epsilons[3]) != EPSILONS:

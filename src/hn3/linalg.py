@@ -14,9 +14,12 @@ term: product by product, or per output row when the groups are wide.
 
 Matrices act on column vectors, so column ``j`` of an operator holds the
 image of the ``j``-th basis vector; entry ``(i, j)`` is keyed ``(i, j)``.
-Only ``inverse``, ``rank`` and ``signature`` expand a matrix into dense
-rows of numerators, for fraction-free (Bareiss) elimination.  There is
-no pivot-size heuristic anywhere because there is no rounding to fight.
+``inverse`` and ``signature`` run fraction-free (Bareiss) elimination over
+rows that hold only their nonzero numerators: a pivot updates the rows with
+an entry in its column and only rescales the others, or leaves them as they
+are when it equals the previous pivot, so a signed permutation costs in
+proportion to its size.  There is no pivot-size heuristic anywhere because
+there is no rounding to fight.
 """
 
 from __future__ import annotations
@@ -328,41 +331,52 @@ class Matrix(Array):
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self.permuted((1, 0))[0] == self.comps
 
-    def _dense_rows(self) -> list[list[int]]:  # numerators only
-        return [[self.comps.get((i, j), 0) for j in range(self.cols)] for i in range(self.rows)]
-
     def inverse(self) -> Matrix:
         """Exact inverse by fraction-free Gauss-Jordan elimination."""
         if self.rows != self.cols:
             raise ShapeError("only square matrices have inverses")
         n = self.rows
-        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self._dense_rows())]
+        aug: list[dict] = [{n + i: 1} for i in range(n)]
+        for (i, j), x in self.comps.items():
+            aug[i][j] = x
         pivots, d = _eliminate(aug, n)
         if pivots < n:
             raise SingularMatrixError("matrix is singular")
         # aug is [d I | d N^-1] for the numerators N, and the inverse is den N^-1
         sign = self.den if d > 0 else -self.den
-        inv = {(i, j): sign * x for i, row in enumerate(aug) for j, x in enumerate(row[n:])}
+        inv = {(i, j - n): sign * x for i, row in enumerate(aug) for j, x in row.items() if j >= n}
         return Matrix.from_ints((n, n), *reduced(inv, abs(d)))
 
-    def rank(self) -> int:
-        return _eliminate(self._dense_rows(), self.cols)[0]
+
+def _update(row: dict, f: int | None, pivot_row: dict, d: int, prev: int) -> dict:
+    """The Bareiss step ``(d * row - f * pivot_row) / prev`` over stored entries, zeros dropped."""
+    if f is None:  # only the rescale: every quotient is exact and nonzero
+        return {k: d * x // prev for k, x in row.items()}
+    out = {k: d * x for k, x in row.items()}
+    get = out.get
+    for k, y in pivot_row.items():
+        out[k] = get(k, 0) - f * y
+    return {k: x // prev for k, x in out.items() if x}
 
 
-def _eliminate(rows: list[list[int]], cols: int) -> tuple[int, int]:
-    """In-place Bareiss Gauss-Jordan on the first ``cols`` columns: (pivot count, last pivot)."""
+def _eliminate(rows: list[dict], cols: int) -> tuple[int, int]:
+    """In-place Bareiss Gauss-Jordan on the first ``cols`` columns: (pivot count, last pivot).
+
+    Each row holds its nonzero numerators only, keyed by column.
+    """
     pivots, prev = 0, 1
     for col in range(cols):
-        pivot = next((r for r in range(pivots, len(rows)) if rows[r][col]), None)
+        pivot = next((r for r in range(pivots, len(rows)) if col in rows[r]), None)
         if pivot is None:
             continue
         rows[pivots], rows[pivot] = rows[pivot], rows[pivots]
-        d, pivot_row = rows[pivots][col], rows[pivots]
-        for r in range(len(rows)):
-            f = rows[r][col]
-            # with f = 0 and d = prev the update gives the row back unchanged
-            if r != pivots and (f or d != prev):
-                rows[r] = [(d * x - f * y) // prev for x, y in zip(rows[r], pivot_row)]
+        pivot_row = rows[pivots]
+        d = pivot_row[col]
+        for r, row in enumerate(rows):
+            f = row.get(col)
+            # a row without an entry in this column is only rescaled, and kept when d = prev
+            if r != pivots and (f is not None or d != prev):
+                rows[r] = _update(row, f, pivot_row, d, prev)
         pivots, prev = pivots + 1, d
     return pivots, prev
 
@@ -370,8 +384,9 @@ def _eliminate(rows: list[list[int]], cols: int) -> tuple[int, int]:
 def signature(m: Matrix) -> tuple[int, int, int]:
     """Sylvester signature (positive, negative, zero) of a symmetric matrix.
 
-    Fraction-free symmetric congruence diagonalization: after each pivot the
-    active block holds the pivot ``prev`` times the Schur complement, so the
+    Fraction-free symmetric congruence diagonalization over the stored
+    entries of the active block, kept as symmetric rows: after each pivot
+    the block holds the pivot ``prev`` times the Schur complement, so the
     next true pivot has the sign of ``d * prev``.  When the whole active
     diagonal vanishes, a nonzero off-diagonal entry spans a hyperbolic pair;
     adding its partner row and column produces a nonzero diagonal pivot.
@@ -381,38 +396,37 @@ def signature(m: Matrix) -> tuple[int, int, int]:
     if not m.is_symmetric():
         raise SymmetryError("signature needs a symmetric matrix")
     n = m.rows
-    a = m._dense_rows()  # the positive denominator keeps every sign
-    neg, zero, prev = 0, 0, 1
-
-    def swap_sym(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-
-    for k in range(n):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if pivot is not None:
-                swap_sym(k, pivot)
-            else:
-                pairs = ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0)
-                pair = next(pairs, None)
-                if pair is None:
-                    zero += n - k
-                    break
-                i, j = pair
-                # row_i += row_j, then the same on columns: a[i][i] becomes 2*a[i][j] != 0
-                a[i] = [x + y for x, y in zip(a[i], a[j])]
-                for r in range(n):
-                    a[r][i] += a[r][j]
-                if i != k:
-                    swap_sym(k, i)
-        d, pivot_row = a[k][k], a[k]
-        for i in range(k + 1, n):
-            f = a[i][k]
-            rest = zip(a[i][k + 1:], pivot_row[k + 1:])
-            a[i][k + 1:] = [(d * x - f * y) // prev for x, y in rest]
+    # the active block, row by row; the positive denominator keeps every sign
+    rows: dict[int, dict] = {i: {} for i in range(n)}
+    for (i, j), x in m.comps.items():
+        rows[i][j] = x
+    neg, prev = 0, 1
+    while rows:
+        p = next((i for i, row in rows.items() if i in row), None)
+        if p is None:
+            # the whole diagonal is zero, so every stored entry is off it
+            pair = next(((i, j) for i, row in rows.items() for j in row), None)
+            if pair is None:
+                break
+            p, j = pair
+            # e_p + e_j replaces e_p, so row p gains row j and its diagonal
+            # entry becomes a[p][p] + 2 a[p][j] + a[j][j] = 2 a[p][j] != 0;
+            # column p is read back from row p, by symmetry
+            row, c = rows[p], rows[p][j]
+            for k, x in rows[j].items():
+                row[k] = row.get(k, 0) + x
+            row[p] = 2 * c
+            rows[p] = {k: x for k, x in row.items() if x}
+        pivot_row = rows.pop(p)
+        d = pivot_row.pop(p)
+        for i, row in rows.items():
+            row.pop(p, None)
+            f = pivot_row.get(i)
+            # a row without an entry in the pivot column is only rescaled, and kept when d = prev
+            if f is not None or d != prev:
+                rows[i] = _update(row, f, pivot_row, d, prev)
         if d * prev < 0:
             neg += 1
         prev = d
+    zero = len(rows)
     return n - neg - zero, neg, zero

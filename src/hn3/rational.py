@@ -64,7 +64,7 @@ def from_ratio(numerator: int, denominator: int) -> Fraction:
 
 
 def to_ints(values: dict) -> tuple[dict, int]:
-    """``{key: Fraction}`` as numerators over their lcm denominator (canonical), zeros dropped."""
+    """``{key: Fraction or int}`` as numerators over their lcm denominator (canonical), no zeros."""
     den = lcm(*(v.denominator for v in values.values()))
     return {k: v.numerator * (den // v.denominator) for k, v in values.items() if v}, den
 

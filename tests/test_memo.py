@@ -21,7 +21,6 @@ import hn3
 from hn3 import (
     HN3Manifold,
     LieAlgebra,
-    Matrix,
     MetricLieAlgebra,
     Tensor,
     ValidationError,
@@ -240,10 +239,9 @@ def test_each_validator_runs_once_per_manifold(monkeypatch, tmp_path):
 
 
 def test_one_elimination_of_each_metric(monkeypatch, tmp_path, capsys):
-    # the signature decides nondegeneracy too, so rank never runs; the base
-    # and the extended metric are each diagonalized once
+    # the signature decides nondegeneracy too; the base and the extended
+    # metric are each diagonalized once
     runs = Counter()
-    count_calls(monkeypatch, runs, Matrix, "rank")
     count_calls(monkeypatch, runs, liealg, "signature")
     path = tmp_path / "example.json"
     dump_structure(builtin_example(2), path)
