@@ -4,7 +4,11 @@ Every case runs ``hn3.cli.run`` in-process with ``--json`` and compares
 the exit code and the SHA-256 of standard output with ``golden_cli.json``.
 The table pins the CLI JSON byte for byte, including the order of every
 report, finding, tensor entry and violation, so any change to it has to
-be deliberate.
+be deliberate.  Each fixture also runs moved to the fixed rational frame
+``FRAME``, which is no signed permutation: those files are dense, and the
+library answers them in an adapted frame, so their digests pin what the
+CLI pulls back to the frame of the file (tensors, and on the fixtures
+outside a class, the witness of the failed class condition).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from conftest import (
     manifold_from_brackets,
 )
 from hn3 import (
+    Matrix,
     build_product,
     builtin_example,
     dump_structure,
@@ -32,6 +37,7 @@ from hn3 import (
     validation_reports,
 )
 from hn3.cli import run
+from test_frame_covariance import move
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -48,6 +54,19 @@ COMMANDS = (
 )
 
 FIXTURES = ("builtin", "flat", "solvable", "central_image", "discriminator")
+
+# a rational frame that mixes the Reeb directions into the others; each
+# fixture moved to it is written as "<fixture>-moved"
+FRAME = Matrix([
+    [1, "1/2", 0, 0, 0, 0, 0],
+    [0, 1, 0, -1, 0, 0, 0],
+    [0, 0, 1, 0, "2/3", 0, 0],
+    [0, 0, 0, 1, 0, 0, 1],
+    [1, 0, 0, 0, 1, 0, 0],
+    [0, 0, -2, 0, 0, 1, 0],
+    [0, 0, 0, 0, 0, "1/3", 1],
+])
+MOVED = tuple(f"{name}-moved" for name in FIXTURES)
 
 # one phi_1 entry flipped: parseable, but the composition and metric
 # identities fail at several components
@@ -74,6 +93,9 @@ def write_inputs(directory: Path) -> dict[str, list[str]]:
         path = directory / f"{name}.json"
         dump_structure(fixture_manifold(name), path)
         inputs[name] = [str(path)]
+        path = directory / f"{name}-moved.json"
+        dump_structure(move(fixture_manifold(name), FRAME), path)
+        inputs[f"{name}-moved"] = [str(path)]
     data = structure_to_json(builtin_example(2))
     data["structures"][0]["phi"][0][1] = "1"
     path = directory / f"{INVALID}.json"
@@ -83,7 +105,7 @@ def write_inputs(directory: Path) -> dict[str, list[str]]:
 
 
 def cases() -> list[tuple[str, tuple[str, ...]]]:
-    out = [(name, cmd) for name in ("example", *FIXTURES) for cmd in COMMANDS]
+    out = [(name, cmd) for name in ("example", *FIXTURES, *MOVED) for cmd in COMMANDS]
     return out + [(INVALID, ("validate",))]
 
 
