@@ -68,7 +68,9 @@ from .structures import (
     AlmostContactStructure,
     HN3Manifold,
     ProductExtension,
+    adapt,
     build_product,
+    move,
     validate_ac3,
     validate_hn_metric,
     validate_hypercomplex_hn,

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .builtin import builtin_example
 from .connections import (
+    ClassConditionError,
     class_condition_alpha1,
     class_condition_alpha23,
     coincidence_check,
@@ -39,6 +40,8 @@ from .nijenhuis import (
     metric_lie_derivative,
     nijenhuis_tensor,
 )
+from .linalg import Matrix
+from .rational import ONE
 from .reporting import Report
 from .structures import (
     HN3Manifold,
@@ -47,6 +50,7 @@ from .structures import (
     validate_hypercomplex_hn,
     validation_reports,
 )
+from .tensor import Tensor, postcompose, precompose
 
 _TENSORS = (
     "F1", "F2", "F3",
@@ -121,6 +125,25 @@ def _resolve_input(args) -> HN3Manifold:
     return load_structure(args.file, validate=args.command != "validate")
 
 
+def _pull_back(t: Tensor, p: Matrix | None) -> Tensor:
+    """``t`` read in the frame that ``p`` moved it from: ``p`` fed into each argument.
+
+    The output of a (1,s) tensor goes through ``p^-1``; with no ``p``, ``t`` as it is.
+    """
+    if p is None:
+        return t
+    for slot in range(t.arity):
+        t = precompose(t, p, slot)
+    return postcompose(t, p.inverse()) if t.contra else t
+
+
+def _message(h: HN3Manifold | None, exc: Exception) -> str:
+    """The error's text, with a class-condition witness in the frame of the input."""
+    if isinstance(exc, ClassConditionError):  # raised only once h is loaded
+        return exc.text(_pull_back(exc.defect, h.frame))
+    return str(exc)
+
+
 def _emit(reports: list[Report], as_json: bool) -> None:
     if as_json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
@@ -154,7 +177,7 @@ def _cmd_compute(h: HN3Manifold, args) -> tuple[int, list[Report]]:
         t = h.mla.levi_civita.gamma
     else:
         t = h.mla.braces
-    report.attach_tensor(name, t)
+    report.attach_tensor(name, _pull_back(t, h.frame))
     return 0, [report]
 
 
@@ -173,10 +196,11 @@ def _cmd_classify(h: HN3Manifold, args) -> tuple[int, list[Report]]:
     return 0, [report]
 
 
-def _failed_precondition(report: Report, exc: ExistenceError) -> Report:
+def _failed_precondition(h: HN3Manifold, report: Report, exc: ExistenceError) -> Report:
     """Record a failed existence precondition in the report and on stderr."""
-    print(f"check failed: {exc}", file=sys.stderr)
-    report.not_run(str(exc))
+    message = _message(h, exc)
+    print(f"check failed: {message}", file=sys.stderr)
+    report.not_run(message)
     return report
 
 
@@ -188,11 +212,11 @@ def _cmd_connection(h: HN3Manifold, args) -> tuple[int, list[Report]]:
         try:
             nc = natural_connection(h, a)
         except ExistenceError as exc:
-            _failed_precondition(rep, exc)
+            _failed_precondition(h, rep, exc)
             code = 1
         else:
             rep = naturality_report(nc.connection, h, a)
-            rep.attach_tensor(f"T{a}", nc.torsion)
+            rep.attach_tensor(f"T{a}", _pull_back(nc.torsion, h.frame))
             if not rep.passed:
                 code = 1
         reports.append(rep)
@@ -200,7 +224,7 @@ def _cmd_connection(h: HN3Manifold, args) -> tuple[int, list[Report]]:
     try:
         coin = coincidence_check(h)
     except ExistenceError as exc:
-        return 1, reports + [_failed_precondition(rep, exc)]
+        return 1, reports + [_failed_precondition(h, rep, exc)]
     for (a, b), equal in coin.torsions_equal.items():
         rep.findings[f"D{a}=D{b}"] = equal
     rep.findings["routes_agree"] = coin.routes_agree
@@ -217,8 +241,12 @@ def _cmd_product(h: HN3Manifold, args) -> tuple[int, list[Report]]:
         alpha = args.alpha or args.beta
         beta = args.beta or alpha
         rep = Report(f"braces Nijenhuis pairing of J{alpha} and J{beta}")
+        # the extension's change of frame is h's, with the flat direction kept
+        frame = None if h.frame is None else Matrix.from_dict(
+            (p.dim, p.dim), {**dict(h.frame.nonzero()), (h.dim, h.dim): ONE}
+        )
         rep.attach_tensor(
-            f"JJ{alpha}{beta}", braces_nijenhuis_product(p, alpha, beta)
+            f"JJ{alpha}{beta}", _pull_back(braces_nijenhuis_product(p, alpha, beta), frame)
         )
         reports.append(rep)
     code = 0 if all(r.passed for r in reports) else 1
@@ -255,6 +283,7 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    h = None
     try:
         h = _resolve_input(args)
         code, reports = _COMMANDS[args.command](h, args)
@@ -268,7 +297,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, ExistenceError, SymmetryError) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
+        print(f"check failed: {_message(h, exc)}", file=sys.stderr)
         return 1
     _emit(reports, args.json)
     return code

@@ -16,12 +16,13 @@ structure the 3-form torsion pins D down uniquely; for the second and
 third it does not: other 3-forms give natural connections too (on the
 built-in example ``D_1`` is natural for all three structures).  The
 coincidence check compares the three closed-form connections, which is
-exactly the componentwise equality of the three torsion forms.
+exactly the componentwise equality of the three torsion forms; whether a
+common natural connection exists is ``Coincidence.d1_natural_for_all``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ExistenceError, SymmetryError, ValidationError
 from .liealg import Connection, connection_torsion, covariant_derivative, \
@@ -120,34 +121,53 @@ def torsion_alpha1_via_forms(h: HN3Manifold) -> Tensor:
     )
 
 
+class ClassConditionError(ExistenceError):
+    """A structure outside its class, with the witness: the failing identity's nonzero side.
+
+    ``name`` is the identity (the reflection identity; else the cyclic sum
+    of F_alpha, or L_xi g where that sum vanishes) and ``defect`` its side,
+    in the manifold's frame.
+    """
+
+    def __init__(self, alpha: int, name: str, defect: Tensor):
+        self.alpha, self.name, self.defect = alpha, name, defect
+        super().__init__(self.text(defect))
+
+    def text(self, defect: Tensor) -> str:
+        """The message, naming the count of nonzero components of ``defect`` and the first of them.
+
+        ``defect`` is the witness itself or the witness in another frame.
+        """
+        which, why = (
+            ("the first structure", "reflection identity") if self.alpha == 1
+            else (f"structure {self.alpha}", "cyclic or Killing condition")
+        )
+        entries = defect.entries_1based()
+        idx, value = entries[0]
+        return (
+            f"{which} does not admit a natural connection with totally "
+            f"skew-symmetric torsion ({why} fails); witness: {self.name} is nonzero at "
+            f"{len(entries)} of {defect.dim ** defect.nslots} components, first at {idx} = {value}"
+        )
+
+
 def structure_torsion(h: HN3Manifold, alpha: int) -> Tensor:
     """Torsion 3-form of the natural connection of one structure, computed once per manifold.
 
     First structure: ``T(x,y,z) = F(x,y,phi z) - F(y,x,phi z) - F(phi z,x,y)
     + 2 F(x,phi y,xi) eta(z)``.  Norden-type structures 2 and 3:
     ``T = -1/2 cyclic_sum( F(x,y,phi z) - 3 eta(x) F(y,phi z,xi) )``.
-    Raises unless the class condition holds, naming a witness: the failing
-    identity (the reflection identity; else the cyclic sum of F_alpha, or
-    L_xi g where that sum vanishes), its count of nonzero components and the
-    first of them in row-major order.
+    Raises ``ClassConditionError`` unless the class condition holds.
     """
     if in_skew_torsion_class(h, alpha):
         return _torsion(h, alpha)
     if alpha == 1:
-        which, why = "the first structure", "reflection identity"
         name, defect = "the reflection identity", _reflection_defect(h, fundamental_tensor(h, 1))
     else:
-        which, why = f"structure {alpha}", "cyclic or Killing condition"
         name, defect = f"the cyclic sum of F_{alpha}", cyclic_sum(fundamental_tensor(h, alpha))
         if defect.is_zero():
             name, defect = f"L_xi g of structure {alpha}", metric_lie_derivative(h, alpha)
-    entries = defect.entries_1based()
-    idx, value = entries[0]
-    raise ExistenceError(
-        f"{which} does not admit a natural connection with totally "
-        f"skew-symmetric torsion ({why} fails); witness: {name} is nonzero at "
-        f"{len(entries)} of {h.dim ** defect.nslots} components, first at {idx} = {value}"
-    )
+    raise ClassConditionError(alpha, name, defect)
 
 
 @derived
@@ -219,22 +239,54 @@ def naturality_report(conn: Connection, h: HN3Manifold, alpha: int) -> Report:
     return report
 
 
+@derived
+def _d1_natural_for_all(h: HN3Manifold) -> bool:
+    """Whether D_1 is natural for structures 2 and 3 too; needs the first class condition."""
+    d1 = natural_connection(h, 1).connection
+    return all(naturality_report(d1, h, b).passed for b in (2, 3))
+
+
 @dataclass(frozen=True, eq=False)
 class Coincidence:
-    """Outcome of comparing the three structure-wise natural connections."""
+    """Outcome of comparing the three structure-wise natural connections.
+
+    ``routes_agree``, ``common_exists`` and ``summary`` compare the three
+    closed-form torsions; ``d1_natural_for_all`` decides whether one
+    connection with totally skew-symmetric torsion preserves the whole
+    3-structure.
+    """
 
     torsions_equal: dict[tuple[int, int], bool]
     connections_equal: dict[tuple[int, int], bool]
+    manifold: HN3Manifold = field(repr=False)
 
     @property
     def routes_agree(self) -> bool:
+        """Whether comparing the closed-form torsions and comparing the connections agree."""
         return self.torsions_equal == self.connections_equal
 
     @property
     def common_exists(self) -> bool:
+        """Whether the three closed-form torsions coincide."""
         return all(self.torsions_equal.values())
 
+    @property
+    def d1_natural_for_all(self) -> bool:
+        """Whether a natural connection with totally skew-symmetric torsion is common to all three.
+
+        For structure 1 that connection is unique: the difference S of two
+        torsions is a 3-form with ``S(phi_1 x, y, z) = S(x, y, phi_1 z)`` and
+        ``S(xi_1, ., .) = 0``, and phi_1 is g-skew, which forces S = 0.  So
+        a common one exists exactly when the class condition of structure 1
+        holds (it gates the coincidence check) and D_1 passes
+        ``naturality_report`` for structures 2 and 3.  Decided on the first
+        read, once per manifold.
+        """
+        return _d1_natural_for_all(self.manifold)
+
     def summary(self) -> str:
+        """The closed-form comparison: which D_a coincide, and whether all three torsions do."""
+
         def word(pair):
             return "=" if self.torsions_equal[pair] else "!="
 
@@ -276,4 +328,4 @@ def coincidence_check(h: HN3Manifold) -> Coincidence:
     connections_equal = {
         (a, b): conns[a].connection.gamma == conns[b].connection.gamma for a, b in pairs
     }
-    return Coincidence(torsions_equal, connections_equal)
+    return Coincidence(torsions_equal, connections_equal, h)

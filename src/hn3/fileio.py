@@ -18,9 +18,10 @@ integer, or a string of decimal digits after an optional ``-``, is read
 straight to an int; only other strings go through ``as_scalar``.  Each
 array is built once from the nonzero entries it reads, and an entry's JSON
 pointer is formatted only when the entry is refused.
-``load_structure`` gates the parsed manifold with ``structures.require_valid``,
-whose validator reports are kept on the manifold, so later gates reuse them;
-schema problems and mathematical invalidity are distinct failure kinds.
+``load_structure`` gates the parsed manifold with ``structures.require_valid``
+and then moves it to an adapted frame (``structures.adapt``), so violations
+name components in the frame of the file; schema problems and mathematical
+invalidity are distinct failure kinds.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import StructureFileError, ValidationError
 from .linalg import Matrix, Vector
 from .liealg import LieAlgebra, MetricLieAlgebra
 from .rational import as_scalar, format_scalar
-from .structures import EPSILONS, AlmostContactStructure, HN3Manifold, require_valid
+from .structures import EPSILONS, AlmostContactStructure, HN3Manifold, adapt, require_valid
 from .tensor import Tensor
 
 
@@ -170,7 +171,11 @@ def parse_structure(data: dict) -> HN3Manifold:
 
 
 def load_structure(path: str | Path, validate: bool = True) -> HN3Manifold:
-    """Parse a structure file; with ``validate`` re-derive all its invariants."""
+    """Parse a structure file; with ``validate`` re-derive all its invariants.
+
+    A valid structure comes back in an adapted frame, whose ``frame`` maps
+    the file's components to its own; without ``validate``, as the file has it.
+    """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge int, deep nesting
@@ -178,6 +183,7 @@ def load_structure(path: str | Path, validate: bool = True) -> HN3Manifold:
     h = parse_structure(data)
     if validate:
         require_valid(h)
+        h = adapt(h)
     return h
 
 

@@ -381,6 +381,27 @@ def _eliminate(rows: list[dict], cols: int) -> tuple[int, int]:
     return pivots, prev
 
 
+def kernel(forms: Sequence[Array], n: int) -> list[Vector]:
+    """A basis of the vectors of length ``n`` that every one-form in ``forms`` kills.
+
+    Bareiss Gauss-Jordan (``_eliminate``) over the forms' numerators leaves
+    each pivot row with the last pivot d in its leading column and zeros in
+    the other pivot columns; each free column f then gives the kernel vector
+    with d at f and minus the rows' entries in f at their leading columns,
+    divided by its content, an integer vector.
+    """
+    rows = [{idx[0]: x for idx, x in f.comps.items()} for f in forms]
+    pivots, d = _eliminate(rows, n)
+    lead = [(min(row), row) for row in rows[:pivots]]
+    out = []
+    for f in sorted(set(range(n)).difference(c for c, _ in lead)):
+        comps = {(f,): d}
+        comps.update({(c,): -row[f] for c, row in lead if f in row})
+        g = gcd(*comps.values())
+        out.append(Vector.from_ints((n,), {k: x // g for k, x in comps.items()}, 1))
+    return out
+
+
 def signature(m: Matrix) -> tuple[int, int, int]:
     """Sylvester signature (positive, negative, zero) of a symmetric matrix.
 

@@ -12,7 +12,9 @@ Validation lives here and runs once per manifold: ``validation_reports``
 keeps the four validators' reports in the manifold's memo, and
 ``require_valid`` is the one gate that refuses an invalid manifold: when
 a file is loaded, when the product extension is built, and before every
-``derived`` build.
+``derived`` build.  ``move`` rewrites a manifold in another frame, and
+``adapt`` moves a valid one to a frame where each phi_a is a signed
+permutation, which ``load_structure`` does after its gate.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from dataclasses import dataclass, field
 from functools import wraps
 
 from .errors import ShapeError, ValidationError
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, kernel
 from .liealg import LieAlgebra, MetricLieAlgebra, validate_lie_algebra, validate_metric
 from .rational import ONE, ZERO
 from .reporting import Report
-from .tensor import Tensor
+from .tensor import Tensor, postcompose, precompose
 
 EPSILONS = (1, -1, -1)
 
@@ -72,10 +74,13 @@ class HN3Manifold:
     identities under those characters, reporting every violated component.
     The manifold is immutable, so each object derived from it is computed
     once and kept in ``_memo`` for the manifold's lifetime (see ``derived``).
+    ``frame`` records a change of frame: ``move(h, p)`` has frame ``p``, so
+    a vector with components ``x`` in h has ``p x`` in it; None otherwise.
     """
 
     mla: MetricLieAlgebra
     structures: tuple[AlmostContactStructure, ...]
+    frame: Matrix | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -222,6 +227,93 @@ def require_valid(h: HN3Manifold) -> None:
                 f"{report.check}: {first} "
                 f"({len(report.violations)} violations in total)"
             )
+
+
+def move(h: HN3Manifold, p: Matrix) -> HN3Manifold:
+    """``h`` in the frame where a vector with components ``x`` has ``p x``; its frame is ``p``.
+
+    Every piece transforms as a tensor, with ``q = p^-1``: the bracket
+    ``p [q x, q y]``, the metric ``q^T g q``, ``p phi_a q``, ``p xi_a`` and
+    ``eta_a q``.
+    """
+    q = p.inverse()
+    bracket = postcompose(precompose(precompose(h.mla.algebra.bracket, q, 0), q, 1), p)
+    structures = tuple(
+        AlmostContactStructure(p @ s.phi @ q, p.apply(s.xi), precompose(s.eta, q, 0))
+        for s in h.structures
+    )
+    mla = MetricLieAlgebra(LieAlgebra(h.dim, bracket), q.transpose() @ h.metric @ q)
+    return HN3Manifold(mla, structures, p)
+
+
+def _is_signed_permutation(m: Matrix) -> bool:
+    """At most one nonzero in each row and each column, and each of them is 1 or -1."""
+    entries = list(m.nonzero())
+    rows, cols = {i for (i, _), _ in entries}, {j for (_, j), _ in entries}
+    return len(rows) == len(cols) == len(entries) and all(abs(x) == 1 for _, x in entries)
+
+
+def _from_columns(vectors: list[Vector]) -> Matrix:
+    return Matrix.from_dict(
+        (len(vectors[0]), len(vectors)),
+        {(i, c): x for c, v in enumerate(vectors) for (i,), x in v.nonzero()},
+    )
+
+
+def _block_vector(h: HN3Manifold, basis: list[Vector]) -> Vector:
+    """The first of ``basis`` and its pairwise sums that spans a block, diagonal if one does."""
+    b = _from_columns(basis)
+    gb = (h.metric @ b).transpose()
+    # g(b_i, b_j), g(b_i, phi_2 b_j) and g(b_i, phi_3 b_j)
+    grams = (gb @ b, gb @ (h.phi(2) @ b), gb @ (h.phi(3) @ b))
+    k = len(basis)
+    pairs = [(i, i) for i in range(k)] + [(i, j) for i in range(k) for j in range(i + 1, k)]
+    # (p, s, t) of v = b_i + b_j, or of b_i alone when i = j
+    pst = [
+        [m[i, i] if i == j else m[i, i] + m[i, j] + m[j, i] + m[j, j] for m in grams]
+        for i, j in pairs
+    ]
+    pick = next((c for c, (p, s, t) in enumerate(pst) if p and not s and not t), None)
+    if pick is None:
+        pick = next(c for c, v in enumerate(pst) if any(v))
+    i, j = pairs[pick]
+    return basis[i] if i == j else basis[i] + basis[j]
+
+
+def adapt(h: HN3Manifold) -> HN3Manifold:
+    """``h`` moved to a frame where each phi_a is a signed permutation; h itself if it is one.
+
+    The frame is blocks ``(v, phi_1 v, phi_2 v, phi_3 v)`` spanning
+    ``H = ker eta_1 ∩ ker eta_2 ∩ ker eta_3 = xi^⊥``, then ``xi_1, xi_2,
+    xi_3``, so the metric is block diagonal.  On H the phi_a multiply like
+    the quaternion units, phi_1 is g-skew and phi_2, phi_3 are g-symmetric.
+    So with ``p = g(v, v)``, ``s = g(v, phi_2 v)`` and ``t = g(v, phi_3 v)``
+    a block's Gram matrix is ``[[p, 0, s, t], [0, p, -t, s], [s, -t, -p,
+    0], [t, s, 0, -p]]``, with determinant ``(p^2 + s^2 + t^2)^2``.  Each v
+    is drawn from a kernel basis of the eta_a and of ``g(w, .)`` for the
+    block vectors w found so far, which spans the g-complement C of those
+    blocks in H, and then from the basis's pairwise sums: the first with s
+    = t = 0 != p gives a diagonal block, else the first with (p, s, t) !=
+    0 a nondegenerate one.  The search ends: g is nondegenerate on H (it
+    is ``diag(-1, 1, 1)`` on the xi_a), the blocks are phi-invariant and
+    nondegenerate, so C is phi-invariant and g is nondegenerate on it; and
+    if g(v, v) were 0 for each basis vector and each pairwise sum, then
+    ``2 g(b_i, b_j) = g(b_i + b_j, b_i + b_j) - g(b_i, b_i) - g(b_j, b_j)``
+    would make g vanish on C.  So each pass adds a block, until the blocks
+    span H.  Only a valid h has such a frame.
+    """
+    if all(_is_signed_permutation(h.phi(a)) for a in (1, 2, 3)):
+        return h
+    n = h.dim
+    forms: list = [h.eta(a) for a in (1, 2, 3)]
+    columns: list[Vector] = []
+    while len(columns) < n - 3:
+        v = _block_vector(h, kernel(forms, n))
+        block = [v, *(h.phi(a).apply(v) for a in (1, 2, 3))]
+        columns += block
+        forms += [h.metric.apply(w) for w in block]
+    columns += [h.xi(a) for a in (1, 2, 3)]
+    return move(h, _from_columns(columns).inverse())
 
 
 @dataclass(frozen=True, eq=False)

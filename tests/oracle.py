@@ -157,3 +157,141 @@ def signature(m: Matrix) -> tuple[int, int, int]:
             neg += 1
         prev = d
     return n - neg - zero, neg, zero
+
+
+def kernel(rows, ncols: int) -> list[list[Fraction]]:
+    """A basis of the vectors x with ``sum(row[c] * x[c]) = 0`` for each row, by Gauss-Jordan.
+
+    Each row is a dict ``{column: value}``.  The pivot rows are kept in
+    reduced echelon form, 1 at their pivot column and 0 at the others, so
+    reducing a new row takes one pass over the pivots it meets.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        for c in [c for c in row if c in pivots]:
+            f = row.pop(c)
+            for k, v in pivots[c].items():
+                if k != c:
+                    w = row.get(k, 0) - f * v
+                    if w:
+                        row[k] = w
+                    else:
+                        row.pop(k, None)
+        if not row:
+            continue
+        c = min(row)
+        inv = 1 / row[c]
+        row = {k: v * inv for k, v in row.items()}
+        for other in pivots.values():
+            f = other.pop(c, 0)
+            for k, v in row.items():
+                if k != c and f:
+                    w = other.get(k, 0) - f * v
+                    if w:
+                        other[k] = w
+                    else:
+                        other.pop(k, None)
+        pivots[c] = row
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for c, row in pivots.items():
+            x[c] = -row.get(f, 0)
+        basis.append(x)
+    return basis
+
+
+def _dense(m) -> list[list[Fraction]]:
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def levi_civita(h) -> dict:
+    """``{(x, y, k): Gamma}`` from the Koszul formula, ``2 g(D_x y, z) = g([x,y],z) - g([y,z],x) + g([z,x],y)``."""
+    n = h.dim
+    g, g_inv = _dense(h.metric), _dense(inverse(h.metric))
+    cg: dict = {}  # g([x, y], z)
+    for (x, y, k), c in h.mla.algebra.bracket.nonzero():
+        for z in range(n):
+            if g[k][z]:
+                cg[x, y, z] = cg.get((x, y, z), 0) + c * g[k][z]
+    koszul: dict = {}
+    for (x, y, z), v in cg.items():
+        for key, w in (((x, y, z), v), ((z, x, y), -v), ((y, z, x), v)):
+            koszul[key] = koszul.get(key, 0) + w
+    return _raised(koszul, g_inv, Fraction(1, 2))
+
+
+def _raised(form: dict, g_inv, factor) -> dict:
+    """``factor`` times the (1,2) tensor of a (0,3) form, its last slot raised."""
+    out: dict = {}
+    for (x, y, z), v in form.items():
+        for k, w in enumerate(g_inv[z]):
+            if v and w:
+                out[x, y, k] = out.get((x, y, k), 0) + factor * v * w
+    return out
+
+
+def naturality_residual(h, gamma: dict, alphas=(1, 2, 3)) -> dict:
+    """The nonzero components of D phi_a, D xi_a and D eta_a (a in ``alphas``) and of D g.
+
+    D has coefficients ``gamma = {(x, y, k): value}``; the components are
+    keyed by a label and their indices.  Every one is linear in gamma.
+    """
+    n = h.dim
+
+    def lines(m) -> tuple[list, list]:
+        """Each row's and each column's nonzero entries ``(index, value)``."""
+        dense = _dense(m)
+        rows = [[(j, v) for j, v in enumerate(row) if v] for row in dense]
+        return rows, [[(i, dense[i][j]) for i in range(n) if dense[i][j]] for j in range(n)]
+
+    g_rows, g_cols = lines(h.metric)
+    structures = [
+        (a, *lines(h.phi(a)), list(h.xi(a)), [h.eta(a)[i] for i in range(n)]) for a in alphas
+    ]
+    out: dict = {}
+
+    def add(key, v):
+        out[key] = out.get(key, 0) + v
+
+    for (x, y, m), c in gamma.items():
+        for a, phi_rows, phi_cols, xi, eta in structures:
+            for z, p in phi_rows[y]:
+                add((a, "phi", x, z, m), p * c)  # D_x(phi e_z) meets e_y
+            for z, p in phi_cols[m]:
+                add((a, "phi", x, y, z), -p * c)  # phi(D_x e_y)
+            if xi[y]:
+                add((a, "xi", x, m), xi[y] * c)
+            if eta[m]:
+                add((a, "eta", x, y), -eta[m] * c)
+        for z, w in g_rows[m]:
+            add(("g", x, y, z), -w * c)
+        for z, w in g_cols[m]:
+            add(("g", x, z, y), -w * c)
+    return {k: v for k, v in out.items() if v}
+
+
+def natural_skew_connections(h, alphas=(1, 2, 3)) -> tuple[bool, int]:
+    """Is some ``LC + T/2`` (T a 3-form, last slot raised) natural for each of ``alphas``?
+
+    Returns that verdict and the dimension of the space of 3-forms S that
+    keep ``LC + (T + S)/2`` natural.  The unknowns are the C(n, 3)
+    components of T: column E is the residual of ``E/2`` for the basis
+    3-form E, and the system asks that they cancel the residual of LC.
+    """
+    n = h.dim
+    g_inv = _dense(inverse(h.metric))
+    triples = list(itertools.combinations(range(n), 3))
+    rows: dict = {}
+    for col, (i, j, k) in enumerate(triples):
+        form = {tuple(ijk[p] for p in perm): sign for perm, sign in SIGNED_PERMUTATIONS
+                for ijk in [(i, j, k)]}
+        for key, v in naturality_residual(h, _raised(form, g_inv, Fraction(1, 2)), alphas).items():
+            rows.setdefault(key, {})[col] = v
+    for key, v in naturality_residual(h, levi_civita(h), alphas).items():
+        rows.setdefault(key, {})[len(triples)] = v
+    basis = kernel(rows.values(), len(triples) + 1)
+    solvable = any(x[-1] for x in basis)
+    return solvable, len(basis) - solvable

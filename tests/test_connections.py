@@ -32,6 +32,7 @@ from hn3 import (
     fundamental_tensor,
     in_skew_torsion_class,
     metric_lie_derivative,
+    move,
     natural_connection,
     naturality_report,
     structure_torsion,
@@ -41,7 +42,7 @@ from hn3 import (
 from hn3.errors import ExistenceError, SymmetryError
 from hn3.tensor import Tensor, is_three_form, lower
 from oracle import bracket_vectors, value_at
-from test_frame_covariance import elementary_product, is_signed_permutation, move
+from test_frame_covariance import elementary_product, is_signed_permutation
 
 # 2-step nilpotent brackets on the standard frame (so Jacobi holds) that
 # tell the structures apart, with the class verdicts of structures 1, 2, 3

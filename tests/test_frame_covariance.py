@@ -2,16 +2,22 @@
 
 Every other fixture has signed-permutation structure operators and a
 diagonal metric, so the sparse kernels see a single nonzero per row.  Here
-the built-in example moves to a frame drawn by Hypothesis, a product of
-elementary matrices ``I + q E_ij`` that is never a signed permutation,
-which fills the tensors with nonzeros and fractions.  Validity, the
-verdicts and the metric signature are frame invariant, and F, N, Nhat
-and T are (0,3) tensors: in the new frame they are the old ones with
-``P^-1`` fed into every slot.
+the built-in example moves (``hn3.move``) to a frame drawn by Hypothesis,
+a product of elementary matrices ``I + q E_ij`` that is never a signed
+permutation, which fills the tensors with nonzeros and fractions.
+Validity, the verdicts and the metric signature are frame invariant, and
+F, N, Nhat and T are (0,3) tensors: in the new frame they are the old
+ones with ``P^-1`` fed into every slot.
+
+``hn3.adapt`` moves such a manifold back to a frame where each phi_a is a
+signed permutation, the xi_a come last and the metric has 4x4 blocks; the
+tensors it answers with, pulled back through its ``frame``, are the ones
+of the frame it was given.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,18 +25,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hn3 import (
     Matrix,
+    Vector,
+    adapt,
     associated_nijenhuis,
     builtin_example,
     coincidence_check,
     fundamental_tensor,
     in_skew_torsion_class,
+    move,
     nijenhuis_tensor,
     signature,
     structure_torsion,
     validation_reports,
 )
-from hn3.liealg import LieAlgebra, MetricLieAlgebra
-from hn3.structures import AlmostContactStructure, HN3Manifold
+from hn3.linalg import kernel
+from hn3.structures import HN3Manifold
 from hn3.tensor import postcompose, precompose
 
 N = 7
@@ -57,22 +66,10 @@ def is_signed_permutation(m: Matrix) -> bool:
 
 
 def pull_back(t, q: Matrix):
-    """The (0,s) tensor ``t(q x, q y, ..)``."""
+    """``t(q x, q y, ..)``; the output of a (1,s) tensor goes through ``q^-1``."""
     for slot in range(t.arity):
         t = precompose(t, q, slot)
-    return t
-
-
-def move(h: HN3Manifold, p: Matrix) -> HN3Manifold:
-    """``h`` in the frame where a vector with components ``x`` has ``p x``."""
-    q = p.inverse()
-    bracket = postcompose(precompose(precompose(h.mla.algebra.bracket, q, 0), q, 1), p)
-    metric = q.transpose() @ h.metric @ q
-    structures = tuple(
-        AlmostContactStructure(p @ s.phi @ q, p.apply(s.xi), precompose(s.eta, q, 0))
-        for s in h.structures
-    )
-    return HN3Manifold(MetricLieAlgebra(LieAlgebra(N, bracket), metric), structures)
+    return postcompose(t, q.inverse()) if t.contra else t
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +85,22 @@ def verdicts(h: HN3Manifold) -> dict:
             associated_nijenhuis(h, a)[0].is_zero() for a in (1, 2, 3)
         ],
         "coincidence": (coin.torsions_equal, coin.routes_agree, coin.common_exists),
+        "d1_natural_for_all": coin.d1_natural_for_all,
         "signature": signature(h.metric),
     }
+
+
+def tensors(h: HN3Manifold) -> list:
+    """F, N, Nhat and T of each structure, then the Levi-Civita coefficients and the braces."""
+    out = []
+    for a in (1, 2, 3):
+        out += [
+            fundamental_tensor(h, a),
+            nijenhuis_tensor(h, a)[1],
+            associated_nijenhuis(h, a)[1],
+            structure_torsion(h, a),
+        ]
+    return out + [h.mla.levi_civita.gamma, h.mla.braces]
 
 
 @given(st.lists(steps, min_size=2, max_size=4))
@@ -100,6 +111,7 @@ def test_pipeline_is_frame_covariant(standard, factors):
     q = p.inverse()
     h = move(standard, p)
 
+    assert h.frame == p
     assert [r.passed for r in validation_reports(h)] == [True] * 4
     assert verdicts(h) == verdicts(standard)
     for a in (1, 2, 3):
@@ -109,3 +121,94 @@ def test_pipeline_is_frame_covariant(standard, factors):
             associated_nijenhuis(standard, a)[1], q
         )
         assert structure_torsion(h, a) == pull_back(structure_torsion(standard, a), q)
+
+
+def assert_adapted(h: HN3Manifold) -> None:
+    """Signed-permutation phi_a, xi_a the last frame vectors, 4x4 metric blocks then a diagonal."""
+    n = h.dim
+    for a in (1, 2, 3):
+        # phi_a kills xi_a, so one row and one column hold no entry
+        entries = list(h.phi(a).nonzero())
+        assert all(abs(x) == 1 for _, x in entries)
+        rows, cols = {i for (i, _), _ in entries}, {j for (_, j), _ in entries}
+        assert len(rows) == len(cols) == len(entries) == n - 1
+        assert h.xi(a) == Vector.basis(n, n - 4 + a)
+    for (i, j), _ in h.metric.nonzero():
+        assert i == j if n - 3 <= max(i, j) else i // 4 == j // 4
+
+
+def assert_adapts(h: HN3Manifold) -> HN3Manifold:
+    """``adapt(h)`` is adapted, gives h's verdicts and, pulled back, h's tensors."""
+    adapted = adapt(h)
+    assert adapted is not h
+    assert_adapted(adapted)
+    assert adapt(adapted) is adapted
+    assert verdicts(adapted) == verdicts(h)
+    frame = adapted.frame
+    assert [pull_back(t, frame) for t in tensors(adapted)] == tensors(h)
+    return adapted
+
+
+@given(st.lists(steps, min_size=2, max_size=4))
+@settings(max_examples=6, deadline=None)
+def test_adapted_frame_answers_for_the_input_frame(standard, factors):
+    p = elementary_product(factors)
+    assume(not is_signed_permutation(p))
+    assert_adapts(move(standard, p))
+
+
+def test_a_signed_permutation_frame_is_kept(standard):
+    assert adapt(standard) is standard
+    # a relabelled frame is adapted as well, though its Reeb vectors are not last
+    swap = Matrix([[int(c == (1 - r if r < 2 else r)) for c in range(N)] for r in range(N)])
+    moved = move(standard, swap)
+    assert adapt(moved) is moved
+
+
+def frame(rows) -> Matrix:
+    return Matrix([[Fraction(x) for x in row] for row in rows])
+
+
+# two frames, found by a seeded search, where the first block vector is not
+# a kernel basis vector with s = t = 0: in the first a pairwise sum of two
+# basis vectors gives the diagonal block, in the second no candidate does
+SUM_FRAME = frame([
+    ["1", "0", "2", "0", "0", "0", "0"],
+    ["0", "1", "0", "1/2", "0", "0", "0"],
+    ["2", "0", "1", "1", "-1", "0", "0"],
+    ["0", "-1", "1/2", "1", "0", "-1", "1/2"],
+    ["0", "-1", "1", "0", "1", "1/2", "1/2"],
+    ["1/2", "1/2", "2", "-1", "-1", "1", "0"],
+    ["1", "0", "0", "0", "0", "-1", "1"],
+])
+BLOCK_FRAME = frame([
+    ["1", "1/2", "-1", "-1", "-1", "1", "2"],
+    ["0", "1", "0", "-1", "0", "0", "1/2"],
+    ["0", "-1", "1", "1/2", "-1", "0", "1"],
+    ["-1", "0", "1/2", "1", "-1", "0", "1"],
+    ["0", "2", "-1", "-1", "1", "2", "0"],
+    ["1", "1/2", "1/2", "1/2", "2", "1", "-1"],
+    ["1/2", "0", "-1", "1/2", "-1", "0", "1"],
+])
+
+
+def first_block_vector(adapted: HN3Manifold) -> Vector:
+    """The adapted frame's first vector, in the components of the frame it came from."""
+    basis = adapted.frame.inverse()
+    return Vector([basis[i, 0] for i in range(basis.rows)])
+
+
+def test_a_pairwise_sum_gives_the_diagonal_block(standard):
+    h = move(standard, SUM_FRAME)
+    adapted = assert_adapts(h)
+    candidates = kernel([h.eta(a) for a in (1, 2, 3)], N)
+    v = first_block_vector(adapted)
+    assert v not in candidates
+    assert v in [b + c for b, c in itertools.combinations(candidates, 2)]
+    assert all(i == j for (i, j), _ in adapted.metric.nonzero())
+
+
+def test_a_block_with_no_diagonal_candidate(standard):
+    adapted = assert_adapts(move(standard, BLOCK_FRAME))
+    # g(v, phi_2 v) or g(v, phi_3 v) is nonzero, so the 4x4 block is full
+    assert any(i != j for (i, j), _ in adapted.metric.nonzero())

@@ -32,12 +32,12 @@ from hn3 import (
     dump_structure,
     flat_example,
     load_structure,
+    move,
     structure_to_json,
     validate_hypercomplex_hn,
     validation_reports,
 )
 from hn3.cli import run
-from test_frame_covariance import move
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 

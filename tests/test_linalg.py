@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from hn3 import Matrix, Vector, parse_structure, signature
-from hn3.linalg import contract
+from hn3.linalg import contract, kernel
 from hn3.errors import ShapeError, SingularMatrixError, SymmetryError
 from hn3.tensor import Tensor, covector, cyclic_sum, permute_args, precompose
 from oracle import build, rank
@@ -284,6 +284,28 @@ class TestMatrix:
             return
         assert family != "singular"
         assert m.inverse() == expected
+
+
+class TestKernel:
+    @pytest.mark.parametrize("family", SQUARE_FAMILIES)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_sparse_kernel_matches_the_dense_reference(self, family, data):
+        m = data.draw(sizes.flatmap(SQUARE_FAMILIES[family]))
+        rows = [covector([m[i, j] for j in range(m.cols)]) for i in range(m.rows)]
+        basis = kernel(rows, m.cols)
+        assert len(basis) == m.cols - rank(m)
+        assert all(m.apply(v).is_zero() for v in basis)
+        # independent: the rank of the basis, as rows of a matrix, is its length
+        if basis:
+            assert rank(Matrix([list(v) for v in basis])) == len(basis)
+        reference = oracle.kernel(
+            ({j: m[i, j] for j in range(m.cols)} for i in range(m.rows)), m.cols
+        )
+        assert len(reference) == len(basis)
+
+    def test_no_forms_leave_the_standard_basis(self):
+        assert kernel([], 3) == [Vector.basis(3, i) for i in range(3)]
 
 
 class TestSignature:

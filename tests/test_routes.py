@@ -39,6 +39,7 @@ from hn3 import (
     exterior_d_eta,
     fundamental_tensor,
     metric_lie_derivative,
+    move,
     naturality_report,
     nijenhuis_tensor,
     parse_structure,
@@ -68,7 +69,7 @@ from hn3.tensor import (
     tensor_product,
     times_vector,
 )
-from test_frame_covariance import elementary_product, is_signed_permutation, move, steps
+from test_frame_covariance import elementary_product, is_signed_permutation, steps
 
 ROOT = Path(__file__).resolve().parents[1]
 
