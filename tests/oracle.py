@@ -4,8 +4,10 @@ Each function here walks every index tuple (or every stored entry) and
 reads components through ``t[...]``, independently of the sparse kernels
 in ``hn3.linalg`` and ``hn3.tensor`` that the tests compare against it.
 The eliminations (``rank``, ``inverse``, ``signature``) are fraction-free
-Bareiss over dense rows of integer numerators, zeros included.  None of
-them is part of the library.
+Bareiss over dense rows of integer numerators, zeros included; ``kernel``
+is Gauss-Jordan over Fractions, and ``natural_skew_connections`` solves
+for natural connections with 3-form torsion with it.  None of them is
+part of the library.
 """
 
 from __future__ import annotations
@@ -185,8 +187,10 @@ def kernel(rows, ncols: int) -> list[list[Fraction]]:
         row = {k: v * inv for k, v in row.items()}
         for other in pivots.values():
             f = other.pop(c, 0)
+            if not f:
+                continue
             for k, v in row.items():
-                if k != c and f:
+                if k != c:
                     w = other.get(k, 0) - f * v
                     if w:
                         other[k] = w
@@ -285,9 +289,8 @@ def natural_skew_connections(h, alphas=(1, 2, 3)) -> tuple[bool, int]:
     g_inv = _dense(inverse(h.metric))
     triples = list(itertools.combinations(range(n), 3))
     rows: dict = {}
-    for col, (i, j, k) in enumerate(triples):
-        form = {tuple(ijk[p] for p in perm): sign for perm, sign in SIGNED_PERMUTATIONS
-                for ijk in [(i, j, k)]}
+    for col, ijk in enumerate(triples):
+        form = {tuple(ijk[p] for p in perm): sign for perm, sign in SIGNED_PERMUTATIONS}
         for key, v in naturality_residual(h, _raised(form, g_inv, Fraction(1, 2)), alphas).items():
             rows.setdefault(key, {})[col] = v
     for key, v in naturality_residual(h, levi_civita(h), alphas).items():
