@@ -34,6 +34,7 @@ from hn3 import (
     in_skew_torsion_class,
     move,
     nijenhuis_tensor,
+    parse_structure,
     signature,
     structure_torsion,
     validation_reports,
@@ -155,6 +156,14 @@ def test_adapted_frame_answers_for_the_input_frame(standard, factors):
     p = elementary_product(factors)
     assume(not is_signed_permutation(p))
     assert_adapts(move(standard, p))
+
+
+def test_a_two_block_benchmark_frame():
+    # n = 11: the second block vector comes from the kernel of the eta_a and
+    # of g(w, .) for the first block
+    from test_routes import GEN  # test_routes imports this module
+
+    assert_adapts(parse_structure(GEN.frame_change(GEN.ladder(2), 3, 1)))
 
 
 def test_a_signed_permutation_frame_is_kept(standard):
