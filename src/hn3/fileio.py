@@ -18,9 +18,9 @@ integer, or a string of decimal digits after an optional ``-``, is read
 straight to an int; only other strings go through ``as_scalar``.  Each
 array is built once from the nonzero entries it reads, and an entry's JSON
 pointer is formatted only when the entry is refused.
-``load_structure`` gates the parsed manifold with ``structures.require_valid``
-and then moves it to an adapted frame (``structures.adapt``), so violations
-name components in the frame of the file; schema problems and mathematical
+``load_structure`` passes the parsed manifold to ``structures.adapt``,
+which validates it once, in the adapted frame it moves it to, and names
+any violation in the frame of the file; schema problems and mathematical
 invalidity are distinct failure kinds.
 """
 
@@ -34,7 +34,7 @@ from .errors import StructureFileError, ValidationError
 from .linalg import Matrix, Vector
 from .liealg import LieAlgebra, MetricLieAlgebra
 from .rational import as_scalar, format_scalar
-from .structures import EPSILONS, AlmostContactStructure, HN3Manifold, adapt, require_valid
+from .structures import EPSILONS, AlmostContactStructure, HN3Manifold, adapt
 from .tensor import Tensor
 
 
@@ -173,18 +173,19 @@ def parse_structure(data: dict) -> HN3Manifold:
 def load_structure(path: str | Path, validate: bool = True) -> HN3Manifold:
     """Parse a structure file; with ``validate`` re-derive all its invariants.
 
-    A valid structure comes back in an adapted frame, whose ``frame`` maps
-    the file's components to its own; without ``validate``, as the file has it.
+    With ``validate`` the manifold goes through ``adapt``: a valid one comes
+    back in an adapted frame, whose ``frame`` maps the file's components to
+    its own.  The validators run once, there, which is exact because each
+    identity is a tensor equation; an invalid file raises ``ValidationError``
+    naming the first violation in the file's own components.  Without
+    ``validate``, the manifold comes back unchecked, as the file has it.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge int, deep nesting
         raise StructureFileError(f"invalid JSON: {exc}", "/") from exc
     h = parse_structure(data)
-    if validate:
-        require_valid(h)
-        h = adapt(h)
-    return h
+    return adapt(h) if validate else h
 
 
 def structure_to_json(h: HN3Manifold) -> dict:

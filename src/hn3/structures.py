@@ -11,10 +11,14 @@ almost hypercomplex frame with the matching Hermitian-Norden metric.
 Validation lives here and runs once per manifold: ``validation_reports``
 keeps the four validators' reports in the manifold's memo, and
 ``require_valid`` is the one gate that refuses an invalid manifold: when
-a file is loaded, when the product extension is built, and before every
-``derived`` build.  ``move`` rewrites a manifold in another frame, and
-``adapt`` moves a valid one to a frame where each phi_a is a signed
-permutation, which ``load_structure`` does after its gate.
+a file is loaded (through ``adapt``), when the product extension is
+built, and before every ``derived`` build.  ``move`` rewrites a manifold
+in another frame.  ``adapt`` moves one to a frame where each phi_a is a
+signed permutation and runs the validators there, on the moved manifold
+only: every identity they check is a tensor equation and ``move`` is
+exact, so the moved manifold is valid exactly when the input is.  An
+invalid input meets the gate in its own frame, so its violations keep
+its indices.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import wraps
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, SingularMatrixError, ValidationError
 from .linalg import Matrix, Vector, kernel
 from .liealg import LieAlgebra, MetricLieAlgebra, validate_lie_algebra, validate_metric
 from .rational import ONE, ZERO
@@ -260,8 +264,11 @@ def _from_columns(vectors: list[Vector]) -> Matrix:
     )
 
 
-def _block_vector(h: HN3Manifold, basis: list[Vector]) -> Vector:
-    """The first of ``basis`` and its pairwise sums that spans a block, diagonal if one does."""
+def _block_vector(h: HN3Manifold, basis: list[Vector]) -> Vector | None:
+    """The first of ``basis`` and its pairwise sums that spans a block, diagonal if one does.
+
+    None when every candidate has ``(p, s, t) = 0``, which only an invalid h allows.
+    """
     b = _from_columns(basis)
     gb = (h.metric @ b).transpose()
     # g(b_i, b_j), g(b_i, phi_2 b_j) and g(b_i, phi_3 b_j)
@@ -275,45 +282,80 @@ def _block_vector(h: HN3Manifold, basis: list[Vector]) -> Vector:
     ]
     pick = next((c for c, (p, s, t) in enumerate(pst) if p and not s and not t), None)
     if pick is None:
-        pick = next(c for c, v in enumerate(pst) if any(v))
+        pick = next((c for c, v in enumerate(pst) if any(v)), None)
+    if pick is None:
+        return None
     i, j = pairs[pick]
     return basis[i] if i == j else basis[i] + basis[j]
 
 
-def adapt(h: HN3Manifold) -> HN3Manifold:
-    """``h`` moved to a frame where each phi_a is a signed permutation; h itself if it is one.
+def _adapted_frame(h: HN3Manifold) -> Matrix | None:
+    """The matrix that moves h to an adapted frame, or None where the search cannot finish.
 
-    The frame is blocks ``(v, phi_1 v, phi_2 v, phi_3 v)`` spanning
-    ``H = ker eta_1 ∩ ker eta_2 ∩ ker eta_3 = xi^⊥``, then ``xi_1, xi_2,
-    xi_3``, so the metric is block diagonal.  On H the phi_a multiply like
-    the quaternion units, phi_1 is g-skew and phi_2, phi_3 are g-symmetric.
-    So with ``p = g(v, v)``, ``s = g(v, phi_2 v)`` and ``t = g(v, phi_3 v)``
-    a block's Gram matrix is ``[[p, 0, s, t], [0, p, -t, s], [s, -t, -p,
-    0], [t, s, 0, -p]]``, with determinant ``(p^2 + s^2 + t^2)^2``.  Each v
-    is drawn from a kernel basis of the eta_a and of ``g(w, .)`` for the
-    block vectors w found so far, which spans the g-complement C of those
-    blocks in H, and then from the basis's pairwise sums: the first with s
-    = t = 0 != p gives a diagonal block, else the first with (p, s, t) !=
-    0 a nondegenerate one.  The search ends: g is nondegenerate on H (it
-    is ``diag(-1, 1, 1)`` on the xi_a), the blocks are phi-invariant and
-    nondegenerate, so C is phi-invariant and g is nondegenerate on it; and
-    if g(v, v) were 0 for each basis vector and each pairwise sum, then
-    ``2 g(b_i, b_j) = g(b_i + b_j, b_i + b_j) - g(b_i, b_i) - g(b_j, b_j)``
-    would make g vanish on C.  So each pass adds a block, until the blocks
-    span H.  Only a valid h has such a frame.
+    Each pass draws v from a kernel basis of ``3 + 4k`` forms in ``n > 3 +
+    4k`` dimensions, never empty.  A valid h finishes (see ``adapt``); an
+    invalid one may not: n is not 4m+3, no candidate spans a block, or the
+    vectors found are dependent.
     """
-    if all(_is_signed_permutation(h.phi(a)) for a in (1, 2, 3)):
-        return h
     n = h.dim
+    if n % 4 != 3:
+        return None
     forms: list = [h.eta(a) for a in (1, 2, 3)]
     columns: list[Vector] = []
     while len(columns) < n - 3:
         v = _block_vector(h, kernel(forms, n))
+        if v is None:
+            return None
         block = [v, *(h.phi(a).apply(v) for a in (1, 2, 3))]
         columns += block
         forms += [h.metric.apply(w) for w in block]
     columns += [h.xi(a) for a in (1, 2, 3)]
-    return move(h, _from_columns(columns).inverse())
+    try:
+        return _from_columns(columns).inverse()
+    except SingularMatrixError:
+        return None
+
+
+def adapt(h: HN3Manifold) -> HN3Manifold:
+    """``h`` validated, and moved to a frame where each phi_a is a signed permutation.
+
+    Raises ``ValidationError`` for an invalid h.  The frame is blocks ``(v,
+    phi_1 v, phi_2 v, phi_3 v)`` spanning ``H = ker eta_1 ∩ ker eta_2 ∩ ker
+    eta_3 = xi^⊥``, then ``xi_1, xi_2, xi_3``, so the metric is block
+    diagonal.  On H the phi_a multiply like the quaternion units, phi_1 is
+    g-skew and phi_2, phi_3 are g-symmetric.  So with ``p = g(v, v)``, ``s
+    = g(v, phi_2 v)`` and ``t = g(v, phi_3 v)`` a block's Gram matrix is
+    ``[[p, 0, s, t], [0, p, -t, s], [s, -t, -p, 0], [t, s, 0, -p]]``, with
+    determinant ``(p^2 + s^2 + t^2)^2``.  Each v is drawn from a kernel
+    basis of the eta_a and of ``g(w, .)`` for the block vectors w found so
+    far, which spans the g-complement C of those blocks in H, and then from
+    the basis's pairwise sums: the first with s = t = 0 != p gives a
+    diagonal block, else the first with (p, s, t) != 0 a nondegenerate one.
+    The search ends for a valid h: g is nondegenerate on H (it is ``diag(-1,
+    1, 1)`` on the xi_a), the blocks are phi-invariant and nondegenerate, so
+    C is phi-invariant and g is nondegenerate on it; and if g(v, v) were 0
+    for each basis vector and each pairwise sum, then ``2 g(b_i, b_j) =
+    g(b_i + b_j, b_i + b_j) - g(b_i, b_i) - g(b_j, b_j)`` would make g
+    vanish on C.  So each pass adds a block, until the blocks span H.
+
+    Validation runs once, on the moved manifold, whose memo keeps the
+    reports.  That is exact: every identity the validators check is a
+    tensor equation, and ``move`` rewrites each piece as a tensor with
+    exact rationals, so the moved manifold is valid exactly when h is.  Its
+    violations would name the new frame's components, so where the search
+    cannot finish or the moved manifold fails, h is validated in its own
+    frame instead, and the error names h's components; a valid h never gets
+    there.  An h whose phi_a are signed permutations already is validated
+    as it is and comes back itself, so ``adapt(adapt(h)) is adapt(h)``.
+    """
+    if not all(_is_signed_permutation(h.phi(a)) for a in (1, 2, 3)):
+        p = _adapted_frame(h)
+        if p is not None:
+            moved = move(h, p)
+            if all(report.passed for report in validation_reports(moved)):
+                return moved
+    require_valid(h)
+    return h
 
 
 @dataclass(frozen=True, eq=False)

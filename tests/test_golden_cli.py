@@ -33,11 +33,14 @@ from hn3 import (
     flat_example,
     load_structure,
     move,
+    parse_structure,
     structure_to_json,
     validate_hypercomplex_hn,
     validation_reports,
 )
 from hn3.cli import run
+from hn3.errors import ValidationError
+from hn3.structures import require_valid
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -69,8 +72,10 @@ FRAME = Matrix([
 MOVED = tuple(f"{name}-moved" for name in FIXTURES)
 
 # one phi_1 entry flipped: parseable, but the composition and metric
-# identities fail at several components
+# identities fail at several components; moved to FRAME it is a dense
+# invalid file, whose errors must still name its own components
 INVALID = "phi1-flipped"
+INVALID_MOVED = f"{INVALID}-moved"
 
 
 def fixture_manifold(name: str):
@@ -101,11 +106,15 @@ def write_inputs(directory: Path) -> dict[str, list[str]]:
     path = directory / f"{INVALID}.json"
     path.write_text(json.dumps(data))
     inputs[INVALID] = [str(path)]
+    path = directory / f"{INVALID_MOVED}.json"
+    dump_structure(move(parse_structure(data), FRAME), path)
+    inputs[INVALID_MOVED] = [str(path)]
     return inputs
 
 
 def cases() -> list[tuple[str, tuple[str, ...]]]:
-    out = [(name, cmd) for name in ("example", *FIXTURES, *MOVED) for cmd in COMMANDS]
+    names = ("example", *FIXTURES, *MOVED, INVALID_MOVED)
+    out = [(name, cmd) for name in names for cmd in COMMANDS]
     return out + [(INVALID, ("validate",))]
 
 
@@ -161,6 +170,18 @@ def test_cli_output_matches_golden(name, cmd, inputs, golden, capsys):
 
 def test_invalid_file_violation_order(inputs, golden, monkeypatch):
     assert invalid_reports_digest(inputs, monkeypatch) == golden[f"{INVALID} reports"]
+
+
+@pytest.mark.parametrize("cmd", COMMANDS, ids=" ".join)
+def test_invalid_moved_file_fails_in_its_own_frame(cmd, inputs, capsys):
+    # every command, the gated ones and validate alike, names the first
+    # violation as validation in the file's own frame finds it
+    path = inputs[INVALID_MOVED][0]
+    with pytest.raises(ValidationError) as exc:
+        require_valid(parse_structure(json.loads(Path(path).read_text())))
+    capsys.readouterr()
+    assert run([cmd[0], path, *cmd[1:], "--json"]) == 1
+    assert capsys.readouterr().err == f"check failed: {exc.value}\n"
 
 
 def test_golden_table_covers_every_case(golden):
