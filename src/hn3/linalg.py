@@ -9,8 +9,8 @@ once, in ints.  Every product of two arrays runs in ``contract``, which
 sums over one shared index (matrix products, slot contractions, covariant
 derivatives, Jacobi sums), or ``outer``, the tensor product; both multiply
 nonzero entries only and reduce once per output array.  ``contract`` reads
-its second factor in one format, ``Array.lines``, and picks a loop per
-term: product by product, or per output row when the groups are wide.
+its second factor in one format, ``Array.lines``, and adds product by
+product.
 
 Matrices act on column vectors, so column ``j`` of an operator holds the
 image of the ``j``-th basis vector; entry ``(i, j)`` is keyed ``(i, j)``.
@@ -33,58 +33,30 @@ from .errors import ShapeError, SingularMatrixError, SymmetryError
 from .rational import ZERO, as_scalar, from_ratio, reduced, split, to_ints
 
 
-# a grouping whose groups average this many nonzeros is wide: ``contract``
-# sums its term per output row, and the key of each output entry is built once
-WIDE = 3
-
-
-def contract(*terms: tuple[Array, int, tuple[int, dict, list, bool]]) -> tuple[dict, int]:
+def contract(*terms: tuple[Array, int, tuple[int, dict]]) -> tuple[dict, int]:
     """Sum over one index per term, in ints; returns the canonical ``(comps, den)``.
 
     A term ``(t, pos, lines)`` sums over the index in slot ``pos`` of
-    ``t``: each nonzero ``t[head, m, tail]`` meets every ``(f, p)`` in
-    group ``m`` of ``lines`` (as ``Array.lines`` builds them) and adds
-    ``p * t[..]`` at ``prefix + head + infix + tail``, where ``(prefix,
-    infix)`` is field ``f``.  Each term is scaled to the common denominator
-    once, so every product adds as an int.  A term with a wide grouping sums
-    per output row of ``t`` by field id and builds each output key once;
-    any other term adds product by product.
+    ``t``: each nonzero ``t[head, m, tail]`` meets every ``(prefix, infix,
+    p)`` in group ``m`` of ``lines`` (as ``Array.lines`` builds them) and
+    adds ``p * t[..]`` at ``prefix + head + infix + tail``.  Each term is
+    scaled to the common denominator once, so every product adds as an int,
+    into one accumulator that is reduced once.
     """
-    common = lcm(*(t.den * den for t, _, (den, _, _, _) in terms))
+    common = lcm(*(t.den * den for t, _, (den, _) in terms))
     acc: dict = {}
     get = acc.get
-    for t, pos, (den, groups, fields, wide) in terms:
+    for t, pos, (den, groups) in terms:
         scale = common // (t.den * den)
-        if not wide:  # product by product
-            for idx, v in t.comps.items():
-                group = groups.get(idx[pos])
-                if group is None:
-                    continue
-                v *= scale
-                head, tail = idx[:pos], idx[pos + 1:]
-                for f, p in group:
-                    prefix, infix = fields[f]
-                    key = prefix + head + infix + tail
-                    acc[key] = get(key, 0) + p * v
-            continue
-        rows: dict = {}  # per output row of t, the sum of each field
         for idx, v in t.comps.items():
             group = groups.get(idx[pos])
             if group is None:
                 continue
-            row = idx[:pos] + idx[pos + 1:]
-            sums = rows.get(row)
-            if sums is None:
-                sums = rows[row] = {}
-            at = sums.get
-            for f, p in group:
-                sums[f] = at(f, 0) + p * v
-        for row, sums in rows.items():
-            head, tail = row[:pos], row[pos:]
-            for f, s in sums.items():
-                prefix, infix = fields[f]
+            v *= scale
+            head, tail = idx[:pos], idx[pos + 1:]
+            for prefix, infix, p in group:
                 key = prefix + head + infix + tail
-                acc[key] = get(key, 0) + s * scale
+                acc[key] = get(key, 0) + p * v
     return reduced(acc, common)
 
 
@@ -95,16 +67,6 @@ def outer(left: Array, right: Array) -> tuple[dict, int]:
     ls = [(i, a // gl) for i, a in left.comps.items()]
     rs = [(j, b // gr) for j, b in right.comps.items()]
     return {i + j: a * b for i, a in ls for j, b in rs}, left.den // gr * (right.den // gl)
-
-
-def _groups(comps: dict, axis: int, prefix: int) -> tuple[dict[int, list], list]:
-    """The groups ``{m: [(f, p), ..]}`` and fields ``[(prefix, infix), ..]`` of ``Array.lines``."""
-    groups: dict = {}
-    ids: dict = {}
-    for idx, v in comps.items():
-        f = ids.setdefault((idx[:prefix], idx[prefix:axis] + idx[axis + 1:]), len(ids))
-        groups.setdefault(idx[axis], []).append((f, v))
-    return groups, list(ids)
 
 
 class Array:
@@ -145,7 +107,11 @@ class Array:
         if len(key) != len(self.shape):
             raise ShapeError(f"expected {len(self.shape)} indices, got {len(key)}")
         v = self.comps.get(key)
-        return ZERO if v is None else from_ratio(v, self.den)
+        if v is not None:  # a stored key is in range
+            return from_ratio(v, self.den)
+        if not all(0 <= i < n for i, n in zip(key, self.shape)):
+            raise ShapeError(f"index {key} out of range for shape {self.shape}")
+        return ZERO
 
     def __add__(self, other: Array, sign: int = 1):
         if self._kind() != other._kind():
@@ -204,23 +170,25 @@ class Array:
         key = itemgetter(*order)
         return {key(idx): v for idx, v in self.comps.items()}, self.den
 
-    def lines(self, axis: int, prefix: int = 0) -> tuple[int, dict[int, list], list, bool]:
-        """``(den, groups, fields, wide)``: the nonzeros grouped by their index on ``axis``.
+    def lines(self, axis: int, prefix: int = 0) -> tuple[int, dict[int, list]]:
+        """``(den, groups)``: the nonzeros grouped by their index on ``axis``.
 
         This is the one grouping ``contract`` reads.  Group ``m`` lists
-        ``(f, p)`` for each entry with index ``m`` on ``axis``: its
-        numerator ``p`` and the id ``f`` of its field ``fields[f] = (prefix,
-        infix)``, the other indices with the first ``prefix`` (at most
-        ``axis``) split off, each field kept once.  ``wide`` says the groups
-        average at least ``WIDE`` entries.  Built once per array.
+        ``(prefix, infix, p)`` for each entry with index ``m`` on ``axis``:
+        its numerator ``p`` and its other indices, the first ``prefix`` (at
+        most ``axis``) split off.  Built once per array and ``(axis,
+        prefix)``.
         """
         if not hasattr(self, "_lines"):
             self._lines = {}
         out = self._lines.get((axis, prefix))
         if out is None:
-            groups, fields = _groups(self.comps, axis, prefix)
-            wide = len(self.comps) >= WIDE * len(groups)
-            out = self._lines[axis, prefix] = self.den, groups, fields, wide
+            groups: dict = {}
+            for idx, v in self.comps.items():
+                groups.setdefault(idx[axis], []).append(
+                    (idx[:prefix], idx[prefix:axis] + idx[axis + 1:], v)
+                )
+            out = self._lines[axis, prefix] = self.den, groups
         return out
 
     def nonzero(self):

@@ -109,6 +109,17 @@ GUARDS = [
      ShapeError, "vector dimension mismatch"),
     # hn3.linalg
     ("index count", lambda: V3[0, 1], ShapeError, "expected 1 indices, got 2"),
+    ("negative vector index", lambda: V3[-1], ShapeError,
+     "index (-1,) out of range for shape (3,)"),
+    ("vector index", lambda: V3[3], ShapeError, "index (3,) out of range for shape (3,)"),
+    ("negative matrix index", lambda: I3[-1, -1], ShapeError,
+     "index (-1, -1) out of range for shape (3, 3)"),
+    ("matrix index", lambda: EXAMPLE.metric[7, 7], ShapeError,
+     "index (7, 7) out of range for shape (7, 7)"),
+    ("negative tensor index", lambda: G[0, -2], ShapeError,
+     "index (0, -2) out of range for shape (2, 2)"),
+    ("tensor index", lambda: EXAMPLE.mla.levi_civita.gamma[0, 1, 7], ShapeError,
+     "index (0, 1, 7) out of range for shape (7, 7, 7)"),
     ("empty vector", lambda: Vector([]), ShapeError, "empty vector"),
     ("empty matrix", lambda: Matrix([]), ShapeError, "empty matrix"),
     ("empty zero vector", lambda: Vector.zero(0), ShapeError, "empty vector"),

@@ -4,14 +4,13 @@ The library builds every Nijenhuis-type tensor from one pairing on a
 derivative of the operator (the Levi-Civita derivative of phi, or the
 braces' derivative of J on the product extension), plugs xi into F before
 phi, shares the phi-composed F_1 between the reflection identity and T_1,
-takes D g from lowered connection coefficients, and sums wide
-contractions per output row.  The functions below keep the replaced
-routes as references: the second-order pairing ``_second_order_bracket``
-expanded on the brackets, on the braces and on the extension's braces,
-``covariant_derivative(conn, metric_tensor(g))``, the torsion with xi
-plugged in after phi, and each contraction summed cell by cell in
-Fractions.  The routes assume a valid manifold, and two tests check that
-an invalid one is refused before any route runs.
+and takes D g from lowered connection coefficients.  The functions below
+keep the replaced routes as references: the second-order pairing
+``_second_order_bracket`` expanded on the brackets, on the braces and on
+the extension's braces, ``covariant_derivative(conn, metric_tensor(g))``,
+the torsion with xi plugged in after phi, and each contraction summed cell
+by cell in Fractions.  The routes assume a valid manifold, and two tests
+check that an invalid one is refused before any route runs.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import hn3
 from conftest import SOLVABLE_BRACKETS
@@ -47,7 +46,7 @@ from hn3 import (
 )
 from hn3.builtin import DIM, standard_metric, standard_structures
 from hn3.connections import _metric_derivative, _torsion
-from hn3.linalg import Array, _groups, contract
+from hn3.linalg import Array, contract
 from hn3.liealg import (
     Connection,
     LieAlgebra,
@@ -161,7 +160,7 @@ def test_the_ladder(m):
 
 
 def test_a_benchmark_frame():
-    # the n = 7 frame, seed 3: the row loop runs on most of its contractions
+    # the n = 7 frame, seed 3, kept in its own frame, where most tensors are dense
     assert_routes_agree(parse_structure(GEN.frame_change(GEN.ladder(1), 3, 1)))
 
 
@@ -223,7 +222,7 @@ def test_a_metric_that_is_not_symmetric():
 
 
 # ---------------------------------------------------------------------------
-# The two loops of ``contract`` on random integer arrays.
+# ``contract`` on random integer arrays.
 
 @st.composite
 def arrays(draw, n: int):
@@ -252,11 +251,6 @@ def sums(draw):
     return terms
 
 
-def grouped(u: Array, axis: int, prefix: int, wide: bool) -> tuple:
-    """The grouping ``Array.lines`` builds, with ``wide`` forced whatever u's density."""
-    return (u.den, *_groups(u.comps, axis, prefix), wide)
-
-
 def dense_sum(terms) -> dict:
     """The sum of the terms over every cell of the output, in Fractions, zeros dropped.
 
@@ -279,17 +273,15 @@ def dense_sum(terms) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
+# dense 3 x 3 factors, whose groups hold 3 entries each, in both slots
+DENSE = Array.from_ints(
+    (3, 3), *reduced({(i, j): 3 * i + j + 1 for i in range(3) for j in range(3)}, 2)
+)
+
+
 @given(sums())
+@example([(DENSE, 1, DENSE, 0, 0), (DENSE, 0, DENSE, 1, 1), (DENSE, 1, DENSE, 1, 0)])
 @settings(max_examples=200, deadline=None)
-def test_both_loops_of_contract_agree(terms):
-    narrow = [(t, pos, grouped(u, axis, pre, False)) for t, pos, u, axis, pre in terms]
-    wide = [(t, pos, grouped(u, axis, pre, True)) for t, pos, u, axis, pre in terms]
-    expected = contract(*narrow)
-    assert contract(*wide) == expected
-    # each term picks its own loop, so one sum may mix the two in either order
-    for first, second in ((narrow, wide), (wide, narrow)):
-        mixed = [b if i % 2 else a for i, (a, b) in enumerate(zip(first, second))]
-        assert contract(*mixed) == expected
-    # and both equal the sum taken cell by cell, not only each other
-    comps, den = expected
+def test_contract_equals_the_sum_cell_by_cell(terms):
+    comps, den = contract(*((t, pos, u.lines(axis, pre)) for t, pos, u, axis, pre in terms))
     assert {key: Fraction(v, den) for key, v in comps.items()} == dense_sum(terms)

@@ -82,7 +82,7 @@ def work_per_stage(monkeypatch, data: dict, adapted: bool = True) -> dict[str, t
 
     def counting(*terms):
         calls[stage] += 1
-        for t, pos, (_, groups, _, _) in terms:
+        for t, pos, (_, groups) in terms:
             products[stage] += sum(len(groups.get(idx[pos], ())) for idx in t.comps)
         return original(*terms)
 
